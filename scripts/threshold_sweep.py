@@ -1,9 +1,12 @@
-"""Sweep pruning thresholds over one similarity analysis and tabulate the
-size/divergence trade-off, including a random-removal baseline at each
-matched layer count.
+"""End-to-end demo: synthesize a model with planted passthrough layers,
+analyze layer similarity once, then plan and prune at each threshold.
+
+Prints the similarity matrix, then one row per threshold: the pruned
+layers, the anchor pairs that justify them, and the held-out mean cosine
+of the pruned model beside a random-removal baseline of matched size.
 
 Usage:
-    python scripts/threshold_sweep.py --thresholds 0.9,0.95,0.99,0.999
+    python scripts/threshold_sweep.py --layers 6 --identity 2,3 --thresholds 0.9,0.999
 """
 
 import argparse
@@ -19,8 +22,9 @@ from asc import (
 )
 
 
-def parse_args():
-    parser = argparse.ArgumentParser(description=__doc__)
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--layers", type=int, default=8)
     parser.add_argument("--hidden-dim", type=int, default=32)
     parser.add_argument("--heads", type=int, default=4)
@@ -31,11 +35,11 @@ def parse_args():
     parser.add_argument("--thresholds", default="0.8,0.85,0.9,0.99,0.999")
     parser.add_argument("--sequences", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main():
-    args = parse_args()
+def main(argv=None):
+    args = parse_args(argv)
     identity = [int(p) for p in args.identity.split(",") if p.strip()]
     thresholds = [float(t) for t in args.thresholds.split(",")]
 
@@ -47,9 +51,12 @@ def main():
     train = gen_dataset(args.sequences, 8, 32, args.vocab, seed=args.seed + 1)
     heldout = gen_dataset(args.sequences, 8, 32, args.vocab, seed=args.seed + 2)
     matrix = analyze(config, weights, train, workers=4)
-    print(f"{args.layers}-layer model, identity layers {identity}, "
-          f"{matrix.token_count} analysis tokens\n")
-    print(f"{'threshold':>10} {'pruned':>7} {'layers':<16} {'mean cos':>9} "
+    print(f"{args.layers}-layer model, identity layers {identity or 'none'}, "
+          f"similarity matrix over {matrix.token_count} analysis tokens:")
+    for row in matrix.values:
+        print("  " + " ".join(f"{v:6.3f}" for v in row))
+    print()
+    print(f"{'threshold':>10} {'pruned':>7} {'layers':<16} {'anchors':<16} {'mean cos':>9} "
           f"{'rand mean cos':>14}")
 
     for threshold in thresholds:
@@ -61,7 +68,8 @@ def main():
         base_config, base_weights = apply_plan(config, weights, baseline)
         base_report = compare_models(config, weights, base_config, base_weights, heldout)
         layers = ",".join(str(i) for i in result.redundant_layers) or "-"
-        print(f"{threshold:>10} {count:>7} {layers:<16} {report.mean_cosine:>9.5f} "
+        anchors = " ".join(f"{i}-{j}" for i, j in result.anchors) or "-"
+        print(f"{threshold:>10} {count:>7} {layers:<16} {anchors:<16} {report.mean_cosine:>9.5f} "
               f"{base_report.mean_cosine:>14.5f}")
 
 

@@ -2,16 +2,10 @@
 
 from .data import TokenDataset, load_dataset, save_dataset
 from .errors import AscError, FormatError, ShapeError, ValidationError
-from .forward import final_hidden_state, forward_hidden_states, forward_with_taps
+from .forward import final_hidden_state, forward_hidden_states
 from .model import ModelConfig, ModelWeights, load_model, save_model
 from .planner import PrunePlan, load_plan, plan, plan_random, write_plan
-from .similarity import (
-    SimilarityMatrix,
-    analyze,
-    load_matrix_csv,
-    new_accumulator,
-    write_matrix_csv,
-)
+from .similarity import SimilarityMatrix, analyze, load_matrix_csv, write_matrix_csv
 from .surgery import DivergenceReport, apply_plan, compare_models
 from .synth import gen_dataset, gen_model
 
@@ -31,14 +25,12 @@ __all__ = [
     "compare_models",
     "final_hidden_state",
     "forward_hidden_states",
-    "forward_with_taps",
     "gen_dataset",
     "gen_model",
     "load_dataset",
     "load_matrix_csv",
     "load_model",
     "load_plan",
-    "new_accumulator",
     "plan",
     "plan_random",
     "save_dataset",

@@ -4,6 +4,7 @@ Dataset files hold one sequence per line as whitespace-separated decimal
 token ids; lines starting with ``#`` and blank lines are ignored.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ValidationError
@@ -22,6 +23,19 @@ class TokenDataset:
 
     def __len__(self):
         return len(self.sequences)
+
+    def map_shards(self, fn, workers: int) -> list:
+        """`fn(shard)` for each of `workers` round-robin shards, in shard order.
+
+        Shards run on a thread pool, or inline when workers == 1.
+        """
+        if workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {workers}")
+        shards = [self.sequences[w::workers] for w in range(workers)]
+        if workers == 1:
+            return [fn(shards[0])]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, shards))
 
 
 def validate_sequence(config, tokens):

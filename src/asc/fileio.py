@@ -3,18 +3,20 @@
 import contextlib
 import hashlib
 import os
-import tempfile
 
 
 @contextlib.contextmanager
 def atomic_write(path, mode="w"):
     """Write to a temp file next to `path` and rename on success.
 
-    On any exception the temp file is removed, so a failed command never
-    leaves a partial output behind.
+    The temp file is created with mode 0o666, so the process umask decides
+    the output's permissions as it would for a plain `open`. On any
+    exception the temp file is removed, so a failed command never leaves a
+    partial output behind.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as handle:
             yield handle

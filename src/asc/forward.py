@@ -1,4 +1,4 @@
-"""Encoder forward pass with a tap on every layer's output.
+"""Encoder forward pass that keeps every layer's output.
 
 The hidden-state stack is indexed 0..L: index 0 is the embedding output,
 index k (1..L) the output of encoder layer k. Blocks are post-norm
@@ -8,7 +8,6 @@ exact residual passthrough.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +15,6 @@ from . import tensor_ops
 from .data import validate_sequence
 
 LAYERNORM_EPS = 1e-12
-
-
-@dataclass
-class LayerTapFrame:
-    """Per-token view of every layer's output vector (L+1 vectors of length d)."""
-
-    token_index: int
-    layer_outputs: list
 
 
 def embed(config, weights, tokens) -> np.ndarray:
@@ -85,13 +76,6 @@ def forward_hidden_states(config, weights, tokens) -> list:
     for k in range(config.num_layers):
         states.append(encoder_layer(config, weights, k, states[-1]))
     return states
-
-
-def forward_with_taps(config, weights, tokens):
-    """Yield one LayerTapFrame per token position; outputs are views, not copies."""
-    states = forward_hidden_states(config, weights, tokens)
-    for t in range(len(tokens)):
-        yield LayerTapFrame(token_index=t, layer_outputs=[state[t] for state in states])
 
 
 def final_hidden_state(config, weights, tokens) -> np.ndarray:

@@ -19,6 +19,9 @@ from .fileio import atomic_write
 MAGIC = b"ASCMODL1"
 FORMAT_VERSION = 1
 NORM_MODES = ("standard", "none")
+_INT_CONFIG_FIELDS = ("vocab_size", "num_layers", "hidden_dim", "num_heads", "ffn_dim",
+                      "max_seq_len")
+_CONFIG_FIELDS = _INT_CONFIG_FIELDS + ("norm_mode", "layer_ids")
 
 
 @dataclass
@@ -78,27 +81,19 @@ class ModelConfig:
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise FormatError("config: expected a JSON object")
-        required = {"vocab_size", "num_layers", "hidden_dim", "num_heads",
-                    "ffn_dim", "max_seq_len", "norm_mode", "layer_ids"}
-        missing = required - set(data)
+        missing = set(_CONFIG_FIELDS) - set(data)
         if missing:
             raise FormatError(f"config: missing fields {sorted(missing)}")
-        extra = set(data) - required
+        extra = set(data) - set(_CONFIG_FIELDS)
         if extra:
             raise FormatError(f"config: unknown fields {sorted(extra)}")
-        try:
-            return cls(
-                vocab_size=int(data["vocab_size"]),
-                num_layers=int(data["num_layers"]),
-                hidden_dim=int(data["hidden_dim"]),
-                num_heads=int(data["num_heads"]),
-                ffn_dim=int(data["ffn_dim"]),
-                max_seq_len=int(data["max_seq_len"]),
-                norm_mode=str(data["norm_mode"]),
-                layer_ids=tuple(int(i) for i in data["layer_ids"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"config: malformed field values ({exc})") from exc
+        for name in _INT_CONFIG_FIELDS:
+            if type(data[name]) is not int:
+                raise FormatError(f"config: {name} must be an integer, got {data[name]!r}")
+        layer_ids = data["layer_ids"]
+        if not isinstance(layer_ids, list) or any(type(i) is not int for i in layer_ids):
+            raise FormatError(f"config: layer_ids must be a list of integers, got {layer_ids!r}")
+        return cls(**{**data, "layer_ids": tuple(layer_ids)})
 
 
 @dataclass
@@ -236,8 +231,9 @@ def load_model(path):
         raise FormatError(f"{path}: unparseable header ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
-    if header.get("version") != FORMAT_VERSION:
-        raise FormatError(f"{path}: unknown format version {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unknown format version {version!r}")
     if set(header) != {"version", "config", "tensors"}:
         raise FormatError(f"{path}: header fields must be version/config/tensors, got {sorted(header)}")
 
@@ -277,13 +273,13 @@ def load_model(path):
             raise FormatError(f"{path}: tensor {name!r} entry must have shape/dtype/offset")
         if entry["dtype"] != "f32":
             raise FormatError(f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        if tuple(entry["shape"]) != shape:
+        if entry["shape"] != list(shape) or any(type(n) is not int for n in entry["shape"]):
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {entry['shape']}, expected {list(shape)}"
             )
         offset = entry["offset"]
         nbytes = 4 * int(np.prod(shape, dtype=np.int64))
-        if not isinstance(offset, int) or offset < 0 or offset % 8 != 0:
+        if type(offset) is not int or offset < 0 or offset % 8 != 0:
             raise FormatError(f"{path}: tensor {name!r} offset {offset!r} not a non-negative multiple of 8")
         if offset + nbytes > len(payload):
             raise FormatError(f"{path}: tensor {name!r} extends past payload end")

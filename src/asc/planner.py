@@ -20,6 +20,22 @@ MODE_ASC = "asc"
 MODE_RANDOM = "random"
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
+# (plan JSON field, type check, expected kind); bools and floats never pass
+# for integers, and an absent optional field reads as null
+_FIELD_TYPES = (
+    ("threshold", lambda v: type(v) in (int, float), "a number"),
+    ("redundant_layers", _int_list, "a list of integers"),
+    ("anchors", lambda v: isinstance(v, list) and all(_int_list(a) and len(a) == 2 for a in v),
+     "a list of [i, j] integer pairs"),
+    ("matrix_fingerprint", lambda v: v is None or isinstance(v, str), "a string or null"),
+    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
+)
+
+
 @dataclass
 class PrunePlan:
     """A set of redundant encoder layers (1-based) and the anchors behind them."""
@@ -92,29 +108,6 @@ def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
     return result
 
 
-def replay_oracle(sim, threshold: float):
-    """Literal transliteration of the published scan, kept as an independent
-    code path for cross-checking plan(). Returns the redundant index set.
-    """
-    if not 0 < threshold <= 1:
-        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
-    sim.validate()
-    num_layers = sim.size - 1
-    marked = [False] * (num_layers + 1)
-    i = 0
-    while i <= num_layers:
-        j = num_layers
-        while j >= i:
-            if sim.values[i][j] >= threshold:
-                break
-            j -= 1
-        if j > i:
-            for k in range(i + 1, j + 1):
-                marked[k] = True
-        i = j + 1
-    return {idx for idx, flag in enumerate(marked) if flag}
-
-
 def plan_random(num_layers: int, count: int, seed: int) -> PrunePlan:
     """Uniform random count-subset of encoder layers 1..L (the ablation baseline)."""
     if num_layers < 0:
@@ -159,23 +152,29 @@ def load_plan(path) -> PrunePlan:
         raise FormatError(f"{path}: unparseable plan JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: plan must be a JSON object")
-    if payload.get("version") != PLAN_VERSION:
-        raise FormatError(f"{path}: unknown plan version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != PLAN_VERSION:
+        raise FormatError(f"{path}: unknown plan version {version!r}")
     required = {"version", "threshold", "redundant_layers", "anchors", "matrix_fingerprint", "mode"}
     missing = required - set(payload)
     if missing:
         raise FormatError(f"{path}: missing plan fields {sorted(missing)}")
+    for name, ok, kind in _FIELD_TYPES:
+        value = payload.get(name)
+        if not ok(value):
+            raise FormatError(f"{path}: plan field {name} must be {kind}, got {value!r}")
     try:
-        result = PrunePlan(
-            threshold=float(payload["threshold"]),
-            redundant_layers=tuple(int(i) for i in payload["redundant_layers"]),
-            anchors=tuple((int(a[0]), int(a[1])) for a in payload["anchors"]),
-            matrix_fingerprint=payload["matrix_fingerprint"],
-            mode=str(payload["mode"]),
-            seed=payload.get("seed"),
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed plan fields ({exc})") from exc
+        threshold = float(payload["threshold"])
+    except OverflowError as exc:
+        raise FormatError(f"{path}: plan threshold out of range ({exc})") from exc
+    result = PrunePlan(
+        threshold=threshold,
+        redundant_layers=tuple(payload["redundant_layers"]),
+        anchors=tuple(tuple(a) for a in payload["anchors"]),
+        matrix_fingerprint=payload["matrix_fingerprint"],
+        mode=payload["mode"],
+        seed=payload.get("seed"),
+    )
     try:
         result.validate()
     except ValidationError as exc:

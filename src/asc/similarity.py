@@ -7,7 +7,6 @@ mirrored from the upper triangle and the diagonal forced to exactly 1.0.
 """
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .errors import FormatError, ValidationError
 from .fileio import atomic_write
 from .forward import forward_hidden_states
 from .model import validate_weights
-from .tensor_ops import NORM_EPS
+from .tensor_ops import unit_rows
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$")
 
@@ -68,35 +67,17 @@ class SimilarityAccumulator:
     def sums(self) -> np.ndarray:
         return self._sums
 
-    def _add(self, stacked: np.ndarray):
-        # stacked: (size, n, d) float64. Normalize rows, zeroing dead
-        # vectors (norm < NORM_EPS) so their cosine contribution is 0.
-        norms = np.sqrt(np.einsum("knd,knd->kn", stacked, stacked))
-        dead = norms < NORM_EPS
-        norms[dead] = 1.0
-        unit = stacked / norms[:, :, None]
-        unit[dead] = 0.0
-        grams = np.einsum("ind,jnd->nij", unit, unit)
-        np.clip(grams, -1.0, 1.0, out=grams)
-        self._sums += grams.sum(axis=0)
-        self._count += stacked.shape[1]
-
-    def add_frame(self, frame):
-        """Accumulate one token's L+1 layer outputs."""
-        if len(frame.layer_outputs) != self.size:
-            raise ValidationError(
-                f"frame has {len(frame.layer_outputs)} layer outputs, accumulator expects {self.size}"
-            )
-        stacked = np.stack(frame.layer_outputs).astype(np.float64)[:, None, :]
-        self._add(stacked)
-
     def add_states(self, states):
         """Accumulate a whole sequence's hidden states (list of (n, d) arrays)."""
         if len(states) != self.size:
             raise ValidationError(
                 f"sequence has {len(states)} hidden states, accumulator expects {self.size}"
             )
-        self._add(np.stack(states).astype(np.float64))
+        unit = unit_rows(np.stack(states))
+        grams = np.einsum("ind,jnd->nij", unit, unit)
+        np.clip(grams, -1.0, 1.0, out=grams)
+        self._sums += grams.sum(axis=0)
+        self._count += unit.shape[1]
 
     def merge(self, other: "SimilarityAccumulator"):
         if other.size != self.size:
@@ -115,10 +96,6 @@ class SimilarityAccumulator:
         return SimilarityMatrix(values=values, token_count=self._count)
 
 
-def new_accumulator(size: int) -> SimilarityAccumulator:
-    return SimilarityAccumulator(size)
-
-
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
@@ -126,8 +103,6 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     worker owns a private sum matrix and the shards are merged in fixed
     worker order, so results are stable to within addition reordering.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     config.validate()
     validate_weights(config, weights)
     if dataset.total_tokens == 0:
@@ -140,14 +115,8 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
             acc.add_states(forward_hidden_states(config, weights, seq))
         return acc
 
-    if workers == 1:
-        return run_shard(dataset.sequences).finalize()
-
-    shards = [dataset.sequences[w::workers] for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(run_shard, shards))
-    merged = SimilarityAccumulator(size)
-    for part in partials:
+    merged, *rest = dataset.map_shards(run_shard, workers)
+    for part in rest:
         merged.merge(part)
     return merged.finalize()
 

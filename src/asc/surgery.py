@@ -6,31 +6,18 @@ renumbered consecutively from 0, while config.layer_ids tracks each
 survivor's original index.
 """
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .forward import final_hidden_state
-from .model import ModelWeights, validate_weights
-from .tensor_ops import NORM_EPS
-
-_LAYER_TENSOR_SUFFIXES = (
-    "attn.q.w", "attn.q.b", "attn.k.w", "attn.k.b",
-    "attn.v.w", "attn.v.b", "attn.o.w", "attn.o.b",
-    "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
-    "ln1.g", "ln1.b", "ln2.g", "ln2.b",
-)
+from .model import ModelWeights, tensor_shapes, validate_weights
+from .tensor_ops import unit_rows
 
 
-def apply_plan(config, weights, plan, expected_fingerprint: str = None):
-    """Drop the plan's redundant layers and renumber the survivors.
-
-    `expected_fingerprint`, when given alongside a plan fingerprint, is
-    compared as a provenance check; a mismatch warns but does not abort.
-    """
+def apply_plan(config, weights, plan):
+    """Drop the plan's redundant layers and renumber the survivors."""
     config.validate()
     validate_weights(config, weights)
     plan.validate()
@@ -42,33 +29,23 @@ def apply_plan(config, weights, plan, expected_fingerprint: str = None):
         )
     if plan.anchors and any(j > num_layers for _, j in plan.anchors):
         raise ValidationError("plan anchors exceed this model's layer count")
-    if (
-        expected_fingerprint is not None
-        and plan.matrix_fingerprint is not None
-        and expected_fingerprint != plan.matrix_fingerprint
-    ):
-        warnings.warn(
-            "plan matrix fingerprint does not match the supplied analysis fingerprint; "
-            "applying anyway",
-            stacklevel=2,
-        )
 
     removed = set(plan.redundant_layers)
     survivors = [e for e in range(1, num_layers + 1) if e not in removed]
-    tensors = {
-        "embed.token": weights["embed.token"],
-        "embed.pos": weights["embed.pos"],
-    }
-    for new_slot, encoder_index in enumerate(survivors):
-        old_slot = encoder_index - 1
-        for suffix in _LAYER_TENSOR_SUFFIXES:
-            tensors[f"layer.{new_slot}.{suffix}"] = weights[f"layer.{old_slot}.{suffix}"]
     new_config = replace(
         config,
         num_layers=len(survivors),
         layer_ids=tuple(config.layer_ids[e - 1] for e in survivors),
     )
     new_config.validate()
+    tensors = {}
+    for name in tensor_shapes(new_config):
+        source = name
+        if name.startswith("layer."):
+            # slot k of the pruned model is encoder layer survivors[k]
+            _, slot, suffix = name.split(".", 2)
+            source = f"layer.{survivors[int(slot)] - 1}.{suffix}"
+        tensors[name] = weights[source]
     new_weights = ModelWeights(tensors)
     validate_weights(new_config, new_weights)
     return new_config, new_weights
@@ -90,8 +67,6 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset, workers: i
         raise ValidationError(
             f"models have different hidden dims: {config_a.hidden_dim} vs {config_b.hidden_dim}"
         )
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     for cfg, w in ((config_a, weights_a), (config_b, weights_b)):
         cfg.validate()
         validate_weights(cfg, w)
@@ -106,16 +81,12 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset, workers: i
         for seq in sequences:
             out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
             out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
-            norms_a = np.sqrt(np.einsum("nd,nd->n", out_a, out_a))
-            norms_b = np.sqrt(np.einsum("nd,nd->n", out_b, out_b))
-            dead = (norms_a < NORM_EPS) | (norms_b < NORM_EPS)
-            norms_a[dead] = 1.0
-            norms_b[dead] = 1.0
-            cos = np.einsum("nd,nd->n", out_a, out_b) / (norms_a * norms_b)
-            cos[dead] = 0.0
-            # bit-identical live rows score exactly 1, so comparing a model
-            # with itself reads mean 1.0 / max diff 0 instead of 1 - ulp
-            cos[~dead & np.all(out_a == out_b, axis=1)] = 1.0
+            unit_a = unit_rows(out_a)
+            cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
+            # bit-identical live rows (non-zero unit vectors) score exactly 1,
+            # so comparing a model with itself reads mean 1.0 / max diff 0
+            # instead of 1 - ulp
+            cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
             np.clip(cos, -1.0, 1.0, out=cos)
             cos_sum += cos.sum()
             cos_min = min(cos_min, cos.min())
@@ -123,25 +94,11 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset, workers: i
             count += len(seq)
         return cos_sum, cos_min, diff_max, count
 
-    if workers == 1:
-        partials = [run_shard(dataset.sequences)]
-    else:
-        shards = [dataset.sequences[w::workers] for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_shard, shards))
-
-    cos_sum = 0.0
-    cos_min = np.inf
-    diff_max = 0.0
-    count = 0
-    for part_sum, part_min, part_max, part_count in partials:
-        cos_sum += part_sum
-        cos_min = min(cos_min, part_min)
-        diff_max = max(diff_max, part_max)
-        count += part_count
+    sums, mins, maxes, counts = zip(*dataset.map_shards(run_shard, workers))
+    count = sum(counts)
     return DivergenceReport(
         token_count=count,
-        mean_cosine=float(cos_sum / count),
-        min_cosine=float(cos_min),
-        max_abs_diff=float(diff_max),
+        mean_cosine=float(sum(sums) / count),
+        min_cosine=float(min(mins)),
+        max_abs_diff=float(max(maxes)),
     )

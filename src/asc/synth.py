@@ -15,6 +15,7 @@ from .data import TokenDataset
 from .errors import ValidationError
 from .forward import embed, encoder_layer
 from .model import ModelConfig, ModelWeights, validate_weights
+from .tensor_ops import unit_rows
 
 # Upper bound the generator enforces on the mean cosine between a
 # non-identity layer's input and output on its probe batch.
@@ -25,11 +26,7 @@ _PROBE_LEN = 16
 
 
 def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
-    a = before.astype(np.float64)
-    b = after.astype(np.float64)
-    norm_a = np.sqrt(np.einsum("nd,nd->n", a, a))
-    norm_b = np.sqrt(np.einsum("nd,nd->n", b, b))
-    cos = np.einsum("nd,nd->n", a, b) / (norm_a * norm_b)
+    cos = np.einsum("nd,nd->n", unit_rows(before), unit_rows(after))
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
@@ -123,8 +120,10 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
             for suffix, tensor in layer.items():
                 tensors[f"layer.{slot}.{suffix}"] = tensor
             for state in probe_states:
-                out = encoder_layer(config, weights, slot, state)
-                assert np.array_equal(out, state), "planted identity layer is not a passthrough"
+                if not np.array_equal(encoder_layer(config, weights, slot, state), state):
+                    raise RuntimeError(
+                        f"planted identity layer {encoder_index} is not a passthrough"
+                    )
             continue
 
         scale = 1.0 / np.sqrt(d)

@@ -56,19 +56,16 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(np.float32)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two vectors, clamped into [-1, 1].
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Float64 copy of `x` with each last-axis vector scaled to unit norm.
 
-    Returns 0.0 when either norm is below NORM_EPS, so a dead vector
-    registers as maximally dissimilar instead of raising.
+    Vectors with norm below NORM_EPS become all-zero, so a dead vector
+    scores cosine 0 against everything instead of dividing by ~0.
     """
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine: incompatible shapes {u.shape} and {v.shape}")
-    u64 = u.astype(np.float64)
-    v64 = v.astype(np.float64)
-    norm_u = np.sqrt(np.dot(u64, u64))
-    norm_v = np.sqrt(np.dot(v64, v64))
-    if norm_u < NORM_EPS or norm_v < NORM_EPS:
-        return 0.0
-    value = np.dot(u64, v64) / (norm_u * norm_v)
-    return float(min(1.0, max(-1.0, value)))
+    x64 = np.asarray(x, dtype=np.float64)
+    norms = np.sqrt(np.einsum("...d,...d->...", x64, x64))
+    dead = norms < NORM_EPS
+    norms[dead] = 1.0
+    unit = x64 / norms[..., None]
+    unit[dead] = 0.0
+    return unit

@@ -16,13 +16,13 @@ import numpy.testing as npt
 
 from asc import synth
 from asc.cli import main
-from asc.forward import final_hidden_state, forward_with_taps
+from asc.forward import final_hidden_state
 from asc.model import load_model, save_model
-from asc.planner import plan, replay_oracle
+from asc.planner import plan
 from asc.similarity import SimilarityMatrix, analyze, load_matrix_csv
 from asc.surgery import apply_plan
-from asc.tensor_ops import cosine
 from conftest import make_model
+from oracles import cosine, forward_with_taps, replay_oracle
 
 
 def reported(capfd, number, description, budget_seconds, body):

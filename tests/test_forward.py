@@ -4,15 +4,10 @@ import pytest
 
 from asc import synth
 from asc.errors import ValidationError
-from asc.forward import (
-    embed,
-    encoder_layer,
-    final_hidden_state,
-    forward_hidden_states,
-    forward_with_taps,
-)
+from asc.forward import embed, encoder_layer, final_hidden_state, forward_hidden_states
 from asc.model import ModelConfig, ModelWeights, tensor_shapes
 from conftest import make_model
+from oracles import forward_with_taps
 
 
 def forward_oracle(config, weights, tokens):

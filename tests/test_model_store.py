@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from asc import synth
+from asc.cli import main
 from asc.errors import AscError, FormatError, ValidationError
 from asc.model import (
     FORMAT_VERSION,
@@ -274,6 +275,44 @@ class TestLoadErrors:
                 continue
             config.validate()
             validate_weights(config, weights)
+
+
+class TestStrictHeader:
+    """Header values of the wrong JSON type are refused, never coerced."""
+
+    @pytest.mark.parametrize("keys, value", [
+        (("version",), True),
+        (("version",), 1.0),
+        (("config", "vocab_size"), "6"),
+        (("config", "num_layers"), True),
+        (("config", "hidden_dim"), 4.0),
+        (("config", "num_heads"), 2.5),
+        (("config", "num_heads"), True),
+        (("config", "ffn_dim"), 8.9),
+        (("config", "max_seq_len"), 5.0),
+        (("config", "layer_ids"), [1.0]),
+        (("config", "layer_ids"), [True]),
+        (("config", "layer_ids"), "1"),
+        (("tensors", "layer.0.attn.q.w", "shape"), 5),
+        (("tensors", "layer.0.attn.q.w", "shape"), [4.0, 4]),
+        (("tensors", "embed.token", "offset"), False),
+    ], ids=lambda v: repr(v))
+    def test_cli_exits_1_with_error(self, tmp_path, capsys, keys, value):
+        config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                     vocab_size=6, max_seq_len=5)
+        path = tmp_path / "m.ascm"
+        save_model(config, weights, path)
+        blob, header_len, header = read_header(path)
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        rewrite_header(path, header, blob[12 + header_len:])
+        out = tmp_path / "out.ascm"
+        assert main(["random-prune", "--model", str(path), "--count", "0", "--seed", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestTensorShapes:

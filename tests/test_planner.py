@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asc.cli import main
 from asc.errors import FormatError, ValidationError
+from asc.model import save_model
 from asc.planner import (
     MODE_ASC,
     MODE_RANDOM,
@@ -11,10 +15,11 @@ from asc.planner import (
     load_plan,
     plan,
     plan_random,
-    replay_oracle,
     write_plan,
 )
 from asc.similarity import SimilarityMatrix
+from conftest import make_model
+from oracles import replay_oracle
 
 
 def matrix_from(values, tokens=10):
@@ -238,3 +243,40 @@ class TestPlanJson:
         )
         with pytest.raises(FormatError, match="match"):
             load_plan(path)
+
+
+ASC_PLAN = {"version": 1, "threshold": 0.9, "redundant_layers": [2, 3], "anchors": [[1, 3]],
+            "matrix_fingerprint": None, "mode": "asc"}
+RANDOM_PLAN = {"version": 1, "threshold": 0.0, "redundant_layers": [2, 3], "anchors": [],
+               "matrix_fingerprint": None, "mode": "random", "seed": 5}
+
+
+class TestStrictPlanFields:
+    """Plan values of the wrong JSON type are refused, never coerced."""
+
+    @pytest.mark.parametrize("base, field, value", [
+        (ASC_PLAN, "version", True),
+        (ASC_PLAN, "threshold", True),
+        (ASC_PLAN, "threshold", "0.9"),
+        (ASC_PLAN, "threshold", 10 ** 400),
+        (ASC_PLAN, "redundant_layers", [2.9, 3]),
+        (ASC_PLAN, "redundant_layers", [2, 3.0]),
+        (ASC_PLAN, "anchors", [[1.5, 3]]),
+        (ASC_PLAN, "anchors", [[True, 3]]),
+        (ASC_PLAN, "anchors", [[1, 3, 9]]),
+        (ASC_PLAN, "matrix_fingerprint", 12345),
+        (RANDOM_PLAN, "seed", "5"),
+        (RANDOM_PLAN, "seed", 1.5),
+        (RANDOM_PLAN, "seed", True),
+    ], ids=lambda v: v["mode"] if isinstance(v, dict) else repr(v)[:20])
+    def test_cli_exits_1_with_error(self, tmp_path, capsys, base, field, value):
+        config, weights = make_model(num_layers=4)
+        model_path = tmp_path / "m.ascm"
+        save_model(config, weights, model_path)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({**base, field: value}))
+        out = tmp_path / "out.ascm"
+        assert main(["prune", "--model", str(model_path), "--plan", str(plan_path),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

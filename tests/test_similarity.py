@@ -2,18 +2,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from asc import synth, tensor_ops
+from asc import synth
 from asc.data import TokenDataset
 from asc.errors import FormatError, ValidationError
-from asc.forward import forward_hidden_states, forward_with_taps
+from asc.forward import forward_hidden_states
 from asc.similarity import (
+    SimilarityAccumulator,
     SimilarityMatrix,
     analyze,
     load_matrix_csv,
-    new_accumulator,
     write_matrix_csv,
 )
 from conftest import make_model
+from oracles import add_frame, cosine, forward_with_taps
 
 
 def analyze_oracle(config, weights, dataset):
@@ -25,8 +26,8 @@ def analyze_oracle(config, weights, dataset):
         for frame in forward_with_taps(config, weights, seq):
             for i in range(size):
                 for j in range(i, size):
-                    per_pair[i, j] += tensor_ops.cosine(frame.layer_outputs[i],
-                                                        frame.layer_outputs[j])
+                    per_pair[i, j] += cosine(frame.layer_outputs[i],
+                                             frame.layer_outputs[j])
             count += 1
     mean = per_pair / count
     full = np.triu(mean, k=1)
@@ -37,25 +38,25 @@ def analyze_oracle(config, weights, dataset):
 
 class TestAccumulator:
     def test_size_13_starts_zeroed(self):
-        acc = new_accumulator(13)
+        acc = SimilarityAccumulator(13)
         assert acc.sums.shape == (13, 13)
         npt.assert_array_equal(acc.sums, np.zeros((13, 13)))
         assert acc.token_count == 0
 
     def test_size_2_starts_zeroed(self):
-        acc = new_accumulator(2)
+        acc = SimilarityAccumulator(2)
         npt.assert_array_equal(acc.sums, np.zeros((2, 2)))
 
     def test_too_small_rejected(self):
         with pytest.raises(ValidationError):
-            new_accumulator(1)
+            SimilarityAccumulator(1)
 
     def test_finalize_without_tokens_rejected(self):
         with pytest.raises(ValidationError, match="no tokens"):
-            new_accumulator(3).finalize()
+            SimilarityAccumulator(3).finalize()
 
     def test_equal_outputs_contribute_one_per_pair(self):
-        acc = new_accumulator(3)
+        acc = SimilarityAccumulator(3)
         v = np.array([1.0, 2.0, -1.0], dtype=np.float32)
         acc.add_states([v[None, :], v[None, :], v[None, :]])
         npt.assert_allclose(acc.sums, np.ones((3, 3)), atol=1e-12)
@@ -64,7 +65,7 @@ class TestAccumulator:
     def test_hand_computed_contributions(self):
         # e0=[1,0], e1=[0,1], e2=[1,0]: orthogonal pairs contribute 0,
         # the parallel pair contributes 1.
-        acc = new_accumulator(3)
+        acc = SimilarityAccumulator(3)
         e0 = np.array([[1.0, 0.0]], dtype=np.float32)
         e1 = np.array([[0.0, 1.0]], dtype=np.float32)
         e2 = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -76,7 +77,7 @@ class TestAccumulator:
             assert abs(acc.sums[k, k] - 1.0) < 1e-12
 
     def test_dead_vector_contributes_zero(self):
-        acc = new_accumulator(2)
+        acc = SimilarityAccumulator(2)
         zero = np.zeros((1, 3), dtype=np.float32)
         live = np.ones((1, 3), dtype=np.float32)
         acc.add_states([zero, live])
@@ -90,30 +91,30 @@ class TestAccumulator:
         frames = []
         for seq in sequences:
             frames.extend(forward_with_taps(config, weights, seq))
-        forward_order = new_accumulator(config.num_layers + 1)
-        reverse_order = new_accumulator(config.num_layers + 1)
+        forward_order = SimilarityAccumulator(config.num_layers + 1)
+        reverse_order = SimilarityAccumulator(config.num_layers + 1)
         for frame in frames:
-            forward_order.add_frame(frame)
+            add_frame(forward_order, frame)
         for frame in reversed(frames):
-            reverse_order.add_frame(frame)
+            add_frame(reverse_order, frame)
         npt.assert_allclose(forward_order.sums, reverse_order.sums, atol=1e-12)
 
     def test_frame_size_mismatch_rejected(self, tiny_model):
         config, weights = tiny_model
-        acc = new_accumulator(config.num_layers + 2)
+        acc = SimilarityAccumulator(config.num_layers + 2)
         frame = next(iter(forward_with_taps(config, weights, [1])))
         with pytest.raises(ValidationError, match="layer outputs"):
-            acc.add_frame(frame)
+            add_frame(acc, frame)
 
     def test_merge_equals_single_accumulator(self, tiny_model):
         config, weights = tiny_model
         size = config.num_layers + 1
         states_a = forward_hidden_states(config, weights, [1, 2, 3])
         states_b = forward_hidden_states(config, weights, [4, 5])
-        combined = new_accumulator(size)
+        combined = SimilarityAccumulator(size)
         combined.add_states(states_a)
         combined.add_states(states_b)
-        part_a, part_b = new_accumulator(size), new_accumulator(size)
+        part_a, part_b = SimilarityAccumulator(size), SimilarityAccumulator(size)
         part_a.add_states(states_a)
         part_b.add_states(states_b)
         part_a.merge(part_b)
@@ -193,7 +194,7 @@ class TestAnalyze:
         config, weights = tiny_model
         size = config.num_layers + 1
         scaled_layer = 1
-        plain, scaled = new_accumulator(size), new_accumulator(size)
+        plain, scaled = SimilarityAccumulator(size), SimilarityAccumulator(size)
         for seq in [[1, 2, 3], [4, 5]]:
             states = forward_hidden_states(config, weights, seq)
             plain.add_states(states)

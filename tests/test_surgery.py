@@ -15,9 +15,9 @@ def empty_plan():
     return PrunePlan(threshold=0.9, redundant_layers=(), anchors=())
 
 
-def asc_plan(redundant, anchors, threshold=0.9, fingerprint=None):
+def asc_plan(redundant, anchors, threshold=0.9):
     return PrunePlan(threshold=threshold, redundant_layers=tuple(redundant),
-                     anchors=tuple(anchors), matrix_fingerprint=fingerprint)
+                     anchors=tuple(anchors))
 
 
 class TestApplyPlan:
@@ -89,21 +89,6 @@ class TestApplyPlan:
         config, weights = tiny_model
         with pytest.raises(ValidationError, match="range"):
             apply_plan(config, weights, asc_plan((7,), ((6, 7),)))
-
-    def test_fingerprint_mismatch_warns_but_applies(self, tiny_model):
-        config, weights = tiny_model
-        the_plan = asc_plan((1,), ((0, 1),), fingerprint="aaa")
-        with pytest.warns(UserWarning, match="fingerprint"):
-            new_config, _ = apply_plan(config, weights, the_plan, expected_fingerprint="bbb")
-        assert new_config.num_layers == config.num_layers - 1
-
-    def test_matching_fingerprint_is_silent(self, tiny_model):
-        config, weights = tiny_model
-        the_plan = asc_plan((1,), ((0, 1),), fingerprint="aaa")
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            apply_plan(config, weights, the_plan, expected_fingerprint="aaa")
 
     def test_twenty_random_plans_preserve_survivors(self, tmp_path):
         config, weights = synth.gen_model(num_layers=12, hidden_dim=8, num_heads=2,

@@ -38,6 +38,15 @@ class TestGenModel:
         y = encoder_layer(config, weights, 1, x)
         npt.assert_array_equal(encoder_layer(config, weights, 2, y), y)
 
+    def test_broken_passthrough_raises(self, monkeypatch):
+        # an explicit error, so the check also holds under `python -O`
+        real_layer = synth.encoder_layer
+        monkeypatch.setattr(synth, "encoder_layer",
+                            lambda *args: real_layer(*args) + np.float32(1.0))
+        with pytest.raises(RuntimeError, match="not a passthrough"):
+            synth.gen_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
+                            vocab_size=20, identity_layers=[1], seed=0, max_seq_len=8)
+
     def test_all_identity_model_analyzes_to_ones(self):
         config, weights = synth.gen_model(num_layers=2, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=15,

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asc.errors import ShapeError
-from asc.tensor_ops import GELU_COEF, cosine, gelu, layernorm, matmul, softmax_rows
+from asc.tensor_ops import GELU_COEF, gelu, layernorm, matmul, softmax_rows, unit_rows
+from oracles import cosine
 
 
 def matmul_oracle(a, b):
@@ -172,3 +173,36 @@ class TestCosine:
         # scale in float64 so input quantization does not mask the property
         scaled = alpha * u.astype(np.float64)
         assert abs(cosine(scaled, v.astype(np.float64)) - cosine(u, v)) <= 1e-9
+
+
+class TestUnitRows:
+    def test_live_rows_have_unit_norm_and_dead_rows_are_zero(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]], dtype=np.float32)
+        unit = unit_rows(x)
+        assert unit.dtype == np.float64 and unit.shape == x.shape
+        npt.assert_array_equal(unit[0], [0.6, 0.8])
+        npt.assert_array_equal(unit[1:], np.zeros((2, 2)))
+
+    def test_input_is_not_modified(self):
+        x = np.array([[2.0, 0.0], [0.0, 0.0]])
+        before = x.copy()
+        unit_rows(x)
+        npt.assert_array_equal(x, before)
+
+    def test_normalizes_the_last_axis_of_a_stack(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        unit = unit_rows(x)
+        for k in range(3):
+            npt.assert_array_equal(unit[k], unit_rows(x[k]))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_row_dots_agree_with_oracle_cosine(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((5, 7)).astype(np.float32)
+        b = rng.standard_normal((5, 7)).astype(np.float32)
+        a[0] = 0.0
+        dots = np.einsum("nd,nd->n", unit_rows(a), unit_rows(b))
+        for n in range(5):
+            assert abs(dots[n] - cosine(a[n], b[n])) <= 1e-12
