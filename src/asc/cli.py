@@ -12,15 +12,18 @@ import sys
 import numpy as np
 
 from . import data, heatmap, model, planner, similarity, surgery, synth
-from .errors import AscError
+from .errors import AscError, ValidationError
 from .fileio import atomic_write, sha256_file
 from .forward import final_hidden_state
 
 
 def _cmd_synth(args):
-    identity = []
-    if args.identity_layers:
+    try:
         identity = [int(part) for part in args.identity_layers.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ValidationError(
+            f"--identity-layers must be comma-separated integers, got {args.identity_layers!r}"
+        ) from exc
     config, weights = synth.gen_model(
         num_layers=args.layers,
         hidden_dim=args.hidden_dim,

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import FormatError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 
 @dataclass
@@ -55,18 +55,17 @@ def validate_sequence(config, tokens):
 
 def load_dataset(path) -> TokenDataset:
     sequences = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                tokens = [int(tok) for tok in stripped.split()]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer token id ({exc})") from exc
-            if any(t < 0 for t in tokens):
-                raise FormatError(f"{path}:{lineno}: negative token id")
-            sequences.append(tokens)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            tokens = [int(tok) for tok in stripped.split()]
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer token id ({exc})") from exc
+        if any(t < 0 for t in tokens):
+            raise FormatError(f"{path}:{lineno}: negative token id")
+        sequences.append(tokens)
     return TokenDataset(sequences)
 
 

@@ -1,8 +1,10 @@
-"""Small file helpers: atomic writes and content fingerprints."""
+"""Small file helpers: atomic writes, text reads and content fingerprints."""
 
 import contextlib
 import hashlib
 import os
+
+from .errors import FormatError
 
 
 @contextlib.contextmanager
@@ -25,6 +27,18 @@ def atomic_write(path, mode="w"):
         with contextlib.suppress(OSError):
             os.unlink(tmp_path)
         raise
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents, read with universal newlines.
+
+    Bytes that are not UTF-8 raise FormatError, not UnicodeDecodeError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def sha256_file(path):

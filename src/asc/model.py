@@ -3,11 +3,14 @@
 File layout: bytes 0-7 magic ``ASCMODL1``, bytes 8-11 header length
 (u32 little-endian), then a UTF-8 JSON header
 ``{version, config{...}, tensors{name: {shape, dtype, offset}}}``,
-then the payload of raw little-endian float32 values. Tensor offsets are
-relative to the payload start and 8-byte aligned.
+then the payload of raw little-endian float32 values. Tensors sit at
+canonical offsets: in ``tensor_shapes`` order, each at the next 8-byte
+boundary (relative to the payload start) after the previous one. The loader
+refuses any other layout.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -40,10 +43,10 @@ class ModelConfig:
     ffn_dim: int
     max_seq_len: int
     norm_mode: str = "standard"
-    layer_ids: tuple = ()
+    layer_ids: tuple = None
 
     def __post_init__(self):
-        if not self.layer_ids:
+        if self.layer_ids is None:
             self.layer_ids = tuple(range(1, self.num_layers + 1))
         else:
             self.layer_ids = tuple(int(i) for i in self.layer_ids)
@@ -163,31 +166,25 @@ def _align8(offset: int) -> int:
 
 
 def _payload_layout(config: ModelConfig):
-    """Canonical (name, offset, nbytes) layout plus total payload size."""
-    entries = []
-    offset = 0
+    """Canonical header entry of each tensor plus the total payload size.
+
+    Tensors follow `tensor_shapes` order, each at the next 8-byte boundary.
+    """
+    layout = {}
+    end = 0
     for name, shape in tensor_shapes(config).items():
-        offset = _align8(offset)
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64))
-        entries.append((name, offset, nbytes))
-        offset += nbytes
-    return entries, offset
+        offset = _align8(end)
+        layout[name] = {"shape": list(shape), "dtype": "f32", "offset": offset}
+        end = offset + 4 * math.prod(shape)
+    return layout, end
 
 
 def save_model(config: ModelConfig, weights: ModelWeights, path):
     """Write the container file; rejects invalid models before touching disk."""
     config.validate()
     validate_weights(config, weights)
-    entries, payload_len = _payload_layout(config)
-    shapes = tensor_shapes(config)
-    header = {
-        "version": FORMAT_VERSION,
-        "config": config.to_dict(),
-        "tensors": {
-            name: {"shape": list(shapes[name]), "dtype": "f32", "offset": offset}
-            for name, offset, _ in entries
-        },
-    }
+    layout, _ = _payload_layout(config)
+    header = {"version": FORMAT_VERSION, "config": config.to_dict(), "tensors": layout}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     try:
         with atomic_write(path, "wb") as handle:
@@ -195,12 +192,11 @@ def save_model(config: ModelConfig, weights: ModelWeights, path):
             handle.write(struct.pack("<I", len(header_bytes)))
             handle.write(header_bytes)
             cursor = 0
-            for name, offset, nbytes in entries:
-                if offset > cursor:
-                    handle.write(b"\0" * (offset - cursor))
-                    cursor = offset
-                handle.write(weights.tensors[name].astype("<f4", copy=False).tobytes())
-                cursor += nbytes
+            for name, entry in layout.items():
+                handle.write(b"\0" * (entry["offset"] - cursor))
+                data = weights.tensors[name].astype("<f4", copy=False).tobytes()
+                handle.write(data)
+                cursor = entry["offset"] + len(data)
     except OSError as exc:
         raise OSError(f"failed to write model file {path}: {exc}") from exc
 
@@ -243,19 +239,18 @@ def load_model(path):
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
-    expected_shapes = tensor_shapes(config)
+    layout, payload_len = _payload_layout(config)
     described = header["tensors"]
     if not isinstance(described, dict):
         raise FormatError(f"{path}: tensors section is not a JSON object")
-    missing = sorted(set(expected_shapes) - set(described))
+    missing = sorted(set(layout) - set(described))
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")
-    extra = sorted(set(described) - set(expected_shapes))
+    extra = sorted(set(described) - set(layout))
     if extra:
         raise FormatError(f"{path}: unexpected tensors {extra}")
 
     payload = blob[header_start + header_len:]
-    _, payload_len = _payload_layout(config)
     if len(payload) < payload_len:
         raise FormatError(
             f"{path}: truncated payload ({len(payload)} bytes, header claims {payload_len})"
@@ -265,36 +260,20 @@ def load_model(path):
             f"{path}: payload length mismatch ({len(payload)} bytes, expected {payload_len})"
         )
 
-    intervals = []
     tensors = {}
-    for name, shape in expected_shapes.items():
+    for name, expected in layout.items():
         entry = described[name]
-        if not isinstance(entry, dict) or set(entry) != {"shape", "dtype", "offset"}:
-            raise FormatError(f"{path}: tensor {name!r} entry must have shape/dtype/offset")
-        if entry["dtype"] != "f32":
-            raise FormatError(f"{path}: tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        if entry["shape"] != list(shape) or any(type(n) is not int for n in entry["shape"]):
+        # == alone would accept False for 0 and 8.0 for 8
+        if entry != expected or any(type(n) is not int for n in [entry["offset"], *entry["shape"]]):
             raise FormatError(
-                f"{path}: tensor {name!r} has shape {entry['shape']}, expected {list(shape)}"
+                f"{path}: tensor {name!r} entry {entry!r} is not the canonical {expected!r}"
             )
-        offset = entry["offset"]
-        nbytes = 4 * int(np.prod(shape, dtype=np.int64))
-        if type(offset) is not int or offset < 0 or offset % 8 != 0:
-            raise FormatError(f"{path}: tensor {name!r} offset {offset!r} not a non-negative multiple of 8")
-        if offset + nbytes > len(payload):
-            raise FormatError(f"{path}: tensor {name!r} extends past payload end")
-        intervals.append((offset, offset + nbytes, name))
-        count = int(np.prod(shape, dtype=np.int64))
+        shape = expected["shape"]
         tensors[name] = (
-            np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+            np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=expected["offset"])
             .reshape(shape)
             .astype(np.float32)
         )
-
-    intervals.sort()
-    for (_, end_a, name_a), (start_b, _, name_b) in zip(intervals, intervals[1:]):
-        if start_b < end_a:
-            raise FormatError(f"{path}: tensors {name_a!r} and {name_b!r} overlap in payload")
 
     weights = ModelWeights(tensors)
     validate_weights(config, weights)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import FormatError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 PLAN_VERSION = 1
 MODE_ASC = "asc"
@@ -146,8 +146,7 @@ def write_plan(plan_obj: PrunePlan, path):
 
 def load_plan(path) -> PrunePlan:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: unparseable plan JSON ({exc})") from exc
     if not isinstance(payload, dict):

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .forward import forward_hidden_states
-from .model import validate_weights
 from .tensor_ops import unit_rows
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$")
@@ -103,8 +102,6 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     worker owns a private sum matrix and the shards are merged in fixed
     worker order, so results are stable to within addition reordering.
     """
-    config.validate()
-    validate_weights(config, weights)
     if dataset.total_tokens == 0:
         raise ValidationError("cannot analyze an empty dataset (0 tokens)")
     size = config.num_layers + 1
@@ -132,8 +129,7 @@ def write_matrix_csv(matrix: SimilarityMatrix, path):
 
 
 def load_matrix_csv(path) -> SimilarityMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FormatError(f"{path}:1: empty matrix file")
     match = CSV_HEADER_RE.match(lines[0])

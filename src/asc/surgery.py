@@ -12,15 +12,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .forward import final_hidden_state
-from .model import ModelWeights, tensor_shapes, validate_weights
+from .model import ModelWeights, tensor_shapes
 from .tensor_ops import unit_rows
 
 
 def apply_plan(config, weights, plan):
     """Drop the plan's redundant layers and renumber the survivors."""
-    config.validate()
-    validate_weights(config, weights)
-    plan.validate()
     num_layers = config.num_layers
     bad = [i for i in plan.redundant_layers if not 1 <= i <= num_layers]
     if bad:
@@ -37,7 +34,6 @@ def apply_plan(config, weights, plan):
         num_layers=len(survivors),
         layer_ids=tuple(config.layer_ids[e - 1] for e in survivors),
     )
-    new_config.validate()
     tensors = {}
     for name in tensor_shapes(new_config):
         source = name
@@ -46,9 +42,7 @@ def apply_plan(config, weights, plan):
             _, slot, suffix = name.split(".", 2)
             source = f"layer.{survivors[int(slot)] - 1}.{suffix}"
         tensors[name] = weights[source]
-    new_weights = ModelWeights(tensors)
-    validate_weights(new_config, new_weights)
-    return new_config, new_weights
+    return new_config, ModelWeights(tensors)
 
 
 @dataclass
@@ -61,44 +55,35 @@ class DivergenceReport:
     max_abs_diff: float
 
 
-def compare_models(config_a, weights_a, config_b, weights_b, dataset, workers: int = 1) -> DivergenceReport:
+def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> DivergenceReport:
     """Per-token cosine and max-abs-difference between final-layer outputs."""
     if config_a.hidden_dim != config_b.hidden_dim:
         raise ValidationError(
             f"models have different hidden dims: {config_a.hidden_dim} vs {config_b.hidden_dim}"
         )
-    for cfg, w in ((config_a, weights_a), (config_b, weights_b)):
-        cfg.validate()
-        validate_weights(cfg, w)
     if dataset.total_tokens == 0:
         raise ValidationError("cannot compare over an empty dataset (0 tokens)")
 
-    def run_shard(sequences):
-        cos_sum = 0.0
-        cos_min = np.inf
-        diff_max = 0.0
-        count = 0
-        for seq in sequences:
-            out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
-            out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
-            unit_a = unit_rows(out_a)
-            cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
-            # bit-identical live rows (non-zero unit vectors) score exactly 1,
-            # so comparing a model with itself reads mean 1.0 / max diff 0
-            # instead of 1 - ulp
-            cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
-            np.clip(cos, -1.0, 1.0, out=cos)
-            cos_sum += cos.sum()
-            cos_min = min(cos_min, cos.min())
-            diff_max = max(diff_max, np.abs(out_a - out_b).max())
-            count += len(seq)
-        return cos_sum, cos_min, diff_max, count
-
-    sums, mins, maxes, counts = zip(*dataset.map_shards(run_shard, workers))
-    count = sum(counts)
+    cos_sum = 0.0
+    cos_min = np.inf
+    diff_max = 0.0
+    for seq in dataset.sequences:
+        out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
+        out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
+        unit_a = unit_rows(out_a)
+        cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
+        # bit-identical live rows (non-zero unit vectors) score exactly 1,
+        # so comparing a model with itself reads mean 1.0 / max diff 0
+        # instead of 1 - ulp
+        cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
+        np.clip(cos, -1.0, 1.0, out=cos)
+        cos_sum += cos.sum()
+        cos_min = min(cos_min, cos.min())
+        diff_max = max(diff_max, np.abs(out_a - out_b).max())
+    count = dataset.total_tokens
     return DivergenceReport(
         token_count=count,
-        mean_cosine=float(sum(sums) / count),
-        min_cosine=float(min(mins)),
-        max_abs_diff=float(max(maxes)),
+        mean_cosine=float(cos_sum / count),
+        min_cosine=float(cos_min),
+        max_abs_diff=float(diff_max),
     )

@@ -14,7 +14,7 @@ import numpy as np
 from .data import TokenDataset
 from .errors import ValidationError
 from .forward import embed, encoder_layer
-from .model import ModelConfig, ModelWeights, validate_weights
+from .model import ModelConfig, ModelWeights, tensor_shapes, validate_weights
 from .tensor_ops import unit_rows
 
 # Upper bound the generator enforces on the mean cosine between a
@@ -30,48 +30,33 @@ def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
-def _identity_layer_tensors(rng, d: int, f: int) -> dict:
-    zero_d = np.zeros(d, dtype=np.float32)
-    return {
-        "attn.q.w": rng.standard_normal((d, d)).astype(np.float32) / np.float32(np.sqrt(d)),
-        "attn.q.b": zero_d.copy(),
-        "attn.k.w": rng.standard_normal((d, d)).astype(np.float32) / np.float32(np.sqrt(d)),
-        "attn.k.b": zero_d.copy(),
-        "attn.v.w": np.zeros((d, d), dtype=np.float32),
-        "attn.v.b": zero_d.copy(),
-        "attn.o.w": np.zeros((d, d), dtype=np.float32),
-        "attn.o.b": zero_d.copy(),
-        "ffn.w1": np.zeros((d, f), dtype=np.float32),
-        "ffn.b1": np.zeros(f, dtype=np.float32),
-        "ffn.w2": np.zeros((f, d), dtype=np.float32),
-        "ffn.b2": zero_d.copy(),
-        "ln1.g": np.ones(d, dtype=np.float32),
-        "ln1.b": zero_d.copy(),
-        "ln2.g": np.ones(d, dtype=np.float32),
-        "ln2.b": zero_d.copy(),
-    }
+def _layer_tensors(rng, shapes: dict, slot: int, scale: float = None) -> dict:
+    """Fresh `layer.{slot}.*` tensors of the `tensor_shapes` map `shapes`,
+    drawn from `rng` in schema order.
 
-
-def _mixing_layer_tensors(rng, d: int, f: int, scale: float) -> dict:
-    s = np.float32(scale)
-    return {
-        "attn.q.w": rng.standard_normal((d, d)).astype(np.float32) / np.float32(np.sqrt(d)),
-        "attn.q.b": (0.1 * rng.standard_normal(d)).astype(np.float32),
-        "attn.k.w": rng.standard_normal((d, d)).astype(np.float32) / np.float32(np.sqrt(d)),
-        "attn.k.b": (0.1 * rng.standard_normal(d)).astype(np.float32),
-        "attn.v.w": rng.standard_normal((d, d)).astype(np.float32) * s,
-        "attn.v.b": (0.1 * rng.standard_normal(d)).astype(np.float32),
-        "attn.o.w": rng.standard_normal((d, d)).astype(np.float32) * s,
-        "attn.o.b": (0.1 * rng.standard_normal(d)).astype(np.float32),
-        "ffn.w1": rng.standard_normal((d, f)).astype(np.float32) * s,
-        "ffn.b1": (0.1 * rng.standard_normal(f)).astype(np.float32),
-        "ffn.w2": rng.standard_normal((f, d)).astype(np.float32) * s,
-        "ffn.b2": (0.1 * rng.standard_normal(d)).astype(np.float32),
-        "ln1.g": np.ones(d, dtype=np.float32),
-        "ln1.b": np.zeros(d, dtype=np.float32),
-        "ln2.g": np.ones(d, dtype=np.float32),
-        "ln2.b": np.zeros(d, dtype=np.float32),
-    }
+    q/k weights (d, d) are normal / sqrt(d) and layernorms are identity in every
+    layer. A passthrough layer (scale None) zeroes everything else; a mixing
+    layer draws the other 1-D tensors as 0.1 * normal and the 2-D ones as
+    normal * scale.
+    """
+    prefix = f"layer.{slot}."
+    tensors = {}
+    for name, shape in shapes.items():
+        if not name.startswith(prefix):
+            continue
+        suffix = name[len(prefix):]
+        if suffix in ("attn.q.w", "attn.k.w"):
+            tensor = rng.standard_normal(shape).astype(np.float32) / np.float32(np.sqrt(shape[0]))
+        elif suffix.startswith("ln"):
+            tensor = (np.ones if suffix.endswith(".g") else np.zeros)(shape, dtype=np.float32)
+        elif scale is None:
+            tensor = np.zeros(shape, dtype=np.float32)
+        elif len(shape) == 1:
+            tensor = (0.1 * rng.standard_normal(shape)).astype(np.float32)
+        else:
+            tensor = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
+        tensors[name] = tensor
+    return tensors
 
 
 def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
@@ -99,7 +84,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     config.validate()
 
     rng = np.random.default_rng(seed)
-    d, f = hidden_dim, ffn_dim
+    d = hidden_dim
     tensors = {
         "embed.token": rng.standard_normal((vocab_size, d)).astype(np.float32),
         "embed.pos": (0.5 * rng.standard_normal((max_seq_len, d))).astype(np.float32),
@@ -112,13 +97,12 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         for _ in range(_PROBE_SEQUENCES)
     ]
     probe_states = [embed(config, weights, seq) for seq in probe_seqs]
+    shapes = tensor_shapes(config)
 
     for encoder_index in range(1, num_layers + 1):
         slot = encoder_index - 1
         if encoder_index in identity:
-            layer = _identity_layer_tensors(rng, d, f)
-            for suffix, tensor in layer.items():
-                tensors[f"layer.{slot}.{suffix}"] = tensor
+            tensors.update(_layer_tensors(rng, shapes, slot))
             for state in probe_states:
                 if not np.array_equal(encoder_layer(config, weights, slot, state), state):
                     raise RuntimeError(
@@ -129,9 +113,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         scale = 1.0 / np.sqrt(d)
         accepted = False
         for _ in range(_MAX_SCALE_RETRIES):
-            layer = _mixing_layer_tensors(rng, d, f, scale)
-            for suffix, tensor in layer.items():
-                tensors[f"layer.{slot}.{suffix}"] = tensor
+            tensors.update(_layer_tensors(rng, shapes, slot, scale))
             outputs = [encoder_layer(config, weights, slot, state) for state in probe_states]
             mean_cos = np.mean([
                 _mean_token_cosine(state, out)

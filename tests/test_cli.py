@@ -67,6 +67,15 @@ class TestSynthAndGenData:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m.ascm").exists()
 
+    def test_synth_non_integer_identity_layers(self, tmp_path, capsys):
+        out = tmp_path / "m.ascm"
+        code = main(["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2",
+                     "--ffn-dim", "16", "--vocab", "20", "--identity-layers", "a",
+                     "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_writes_matrix_with_header(self, pipeline_files, capsys):
@@ -223,6 +232,36 @@ class TestPruneCommands:
         assert "embedding-only" in capsys.readouterr().out
         config, _ = load_model(out)
         assert config.num_layers == 0
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any text input ends as `error: ...`."""
+
+    @staticmethod
+    def assert_refused(capsys, argv, out):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_dataset(self, pipeline_files, capsys):
+        tmp_path, model, data = pipeline_files
+        data.write_bytes(data.read_bytes() + b"1 2 \xff\n")
+        self.assert_refused(capsys, ["analyze", "--model", str(model), "--data", str(data)],
+                            tmp_path / "sim.csv")
+
+    def test_matrix_csv(self, tmp_path, capsys):
+        sim = tmp_path / "sim.csv"
+        write_matrix(sim, HAND_VALUES)
+        sim.write_bytes(sim.read_bytes().replace(b"0.95", b"0.9\xff", 1))
+        self.assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
+                            tmp_path / "plan.json")
+
+    def test_plan_json(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_bytes(b'{"version": 1, "mode": "\xff"}\n')
+        self.assert_refused(capsys, ["prune", "--model", str(model), "--plan", str(plan_path)],
+                            tmp_path / "pruned.ascm")
 
 
 class TestRender:

@@ -37,6 +37,27 @@ def rewrite_header(path, header, payload):
         handle.write(payload)
 
 
+def assert_random_prune_refuses(tmp_path, capsys, edits):
+    """Save a 1-layer model, set each header key path in `edits` to its value,
+    and check that `random-prune` exits 1 with `error: ...` and writes nothing."""
+    config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                 vocab_size=6, max_seq_len=5)
+    path = tmp_path / "m.ascm"
+    save_model(config, weights, path)
+    blob, header_len, header = read_header(path)
+    for keys, value in edits.items():
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    rewrite_header(path, header, blob[12 + header_len:])
+    out = tmp_path / "out.ascm"
+    assert main(["random-prune", "--model", str(path), "--count", "0", "--seed", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestConfig:
     def test_default_layer_ids_are_identity(self):
         config, _ = make_model(num_layers=3)
@@ -246,6 +267,17 @@ class TestLoadErrors:
         with pytest.raises(FormatError):
             load_model(saved)
 
+    def test_swapped_offsets_rejected(self, saved):
+        """Same-sized tensors at each other's offsets overlap nothing, but the
+        layout is not the canonical one, so the file is refused."""
+        blob, header_len, header = read_header(saved)
+        payload = blob[12 + header_len:]
+        q_b, k_b = header["tensors"]["layer.0.attn.q.b"], header["tensors"]["layer.0.attn.k.b"]
+        q_b["offset"], k_b["offset"] = k_b["offset"], q_b["offset"]
+        rewrite_header(saved, header, payload)
+        with pytest.raises(FormatError, match="layer.0.attn"):
+            load_model(saved)
+
     def test_missing_tensor_entry(self, saved):
         blob, header_len, header = read_header(saved)
         payload = blob[12 + header_len:]
@@ -298,21 +330,18 @@ class TestStrictHeader:
         (("tensors", "embed.token", "offset"), False),
     ], ids=lambda v: repr(v))
     def test_cli_exits_1_with_error(self, tmp_path, capsys, keys, value):
-        config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
-                                     vocab_size=6, max_seq_len=5)
-        path = tmp_path / "m.ascm"
-        save_model(config, weights, path)
-        blob, header_len, header = read_header(path)
-        target = header
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
-        rewrite_header(path, header, blob[12 + header_len:])
-        out = tmp_path / "out.ascm"
-        assert main(["random-prune", "--model", str(path), "--count", "0", "--seed", "0",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
+        assert_random_prune_refuses(tmp_path, capsys, {keys: value})
+
+
+class TestHeaderConsistency:
+    """Well-typed header values that contradict the config are refused."""
+
+    def test_empty_layer_ids_not_filled_in(self, tmp_path, capsys):
+        assert_random_prune_refuses(tmp_path, capsys, {("config", "layer_ids"): []})
+
+    def test_oversized_hidden_dim(self, tmp_path, capsys):
+        assert_random_prune_refuses(tmp_path, capsys, {("config", "hidden_dim"): 10**20,
+                                                       ("config", "num_heads"): 1})
 
 
 class TestTensorShapes:

@@ -153,17 +153,6 @@ class TestCompareModels:
         with pytest.raises(ValidationError, match="hidden dims"):
             compare_models(config_a, weights_a, config_b, weights_b, dataset)
 
-    def test_workers_agree_with_single_thread(self, tiny_model):
-        config, weights = tiny_model
-        other_config, other_weights = make_model(seed=99)
-        dataset = synth.gen_dataset(9, 2, 10, config.vocab_size, seed=55)
-        single = compare_models(config, weights, other_config, other_weights, dataset)
-        multi = compare_models(config, weights, other_config, other_weights, dataset, workers=3)
-        assert single.token_count == multi.token_count
-        assert abs(single.mean_cosine - multi.mean_cosine) < 1e-9
-        assert single.min_cosine == multi.min_cosine
-        assert single.max_abs_diff == multi.max_abs_diff
-
     def test_empty_dataset_rejected(self, tiny_model):
         config, weights = tiny_model
         from asc.data import TokenDataset
