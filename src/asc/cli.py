@@ -9,8 +9,6 @@ partial behind; exit code 0 means all outputs were written.
 import argparse
 import sys
 
-import numpy as np
-
 from . import data, heatmap, model, planner, similarity, surgery, synth
 from .errors import AscError, ValidationError
 from .fileio import atomic_write, sha256_file
@@ -121,15 +119,16 @@ def _cmd_compare(args):
 def _cmd_forward(args):
     config, weights = model.load_model(args.model)
     dataset = data.load_dataset(args.data)
-    rows = []
-    for seq in dataset.sequences:
-        final = final_hidden_state(config, weights, seq)
-        rows.extend(np.asarray(final, dtype=np.float64))
+    finals = [None] * len(dataset)
+    for indices, ids in data.length_batches(dataset.sequences, config):
+        for i, final in zip(indices, final_hidden_state(config, weights, ids)):
+            finals[i] = final
     with atomic_write(args.out) as handle:
-        for row in rows:
-            handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")
-    print(f"wrote embeddings: {args.out} (tokens={len(rows)}, dim={config.hidden_dim})")
+        for final in finals:
+            for row in final:
+                handle.write(",".join(repr(float(v)) for v in row))
+                handle.write("\n")
+    print(f"wrote embeddings: {args.out} (tokens={dataset.total_tokens}, dim={config.hidden_dim})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,14 @@ token ids; lines starting with ``#`` and blank lines are ignored.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import FormatError, ValidationError
 from .fileio import atomic_write, read_text
+
+# Token rows per forward batch: bounds the memory that one batch's
+# activations take, however large the dataset.
+MAX_BATCH_ROWS = 1024
 
 
 @dataclass
@@ -51,6 +57,30 @@ def validate_sequence(config, tokens):
             raise ValidationError(
                 f"token id {t} out of range [0, {config.vocab_size})"
             )
+
+
+def length_batches(sequences, *configs) -> list:
+    """Group `sequences` by exact length into `(indices, ids)` batches.
+
+    Each sequence is checked once against every config. `ids` is the (B, n)
+    int64 array of `sequences[i]` for each `i` in `indices` (ascending); a
+    batch holds at most MAX_BATCH_ROWS tokens unless it is one sequence.
+    Length-1 sequences run alone: a one-row product is a BLAS matrix-vector
+    call, whose rounding differs from the matrix-matrix call of a taller
+    batch, and a batch must give each sequence exactly its own states.
+    """
+    by_length = {}
+    for i, seq in enumerate(sequences):
+        for config in configs:
+            validate_sequence(config, seq)
+        by_length.setdefault(len(seq), []).append(i)
+    batches = []
+    for n, indices in by_length.items():
+        step = 1 if n == 1 else max(1, MAX_BATCH_ROWS // n)
+        for lo in range(0, len(indices), step):
+            chunk = indices[lo: lo + step]
+            batches.append((chunk, np.array([sequences[i] for i in chunk], dtype=np.int64)))
+    return batches
 
 
 def load_dataset(path) -> TokenDataset:

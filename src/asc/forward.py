@@ -5,6 +5,13 @@ index k (1..L) the output of encoder layer k. Blocks are post-norm
 (residual add, then layernorm); with norm_mode="none" both layernorms are
 skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
+
+States have shape (..., n, d): one sequence is (n, d), and a batch of B
+equal-length sequences (from `data.length_batches`) is (B, n, d), with no
+padding and no mask. Projections and the FFN run as one product over all
+B*n rows, and attention runs all heads of all sequences as one stacked
+product, so each sequence's states in a batch equal its states on its own,
+bit for bit.
 """
 
 import math
@@ -20,12 +27,15 @@ LAYERNORM_EPS = 1e-12
 def embed(config, weights, tokens) -> np.ndarray:
     """Token + position embedding rows; row-normalized when norm_mode="standard".
 
+    `tokens` is one sequence of ids, checked here, or an int array of shape
+    (..., n) from `data.length_batches`, which has checked every row.
     The embedding normalization is parameter-free (gamma=1, beta=0): the
     canonical tensor set carries no embedding-layernorm weights.
     """
-    validate_sequence(config, tokens)
+    if not isinstance(tokens, np.ndarray):
+        validate_sequence(config, tokens)
     ids = np.asarray(tokens, dtype=np.int64)
-    rows = weights["embed.token"][ids] + weights["embed.pos"][: len(ids)]
+    rows = weights["embed.token"][ids] + weights["embed.pos"][: ids.shape[-1]]
     if config.norm_mode == "standard":
         d = config.hidden_dim
         rows = tensor_ops.layernorm(
@@ -35,25 +45,28 @@ def embed(config, weights, tokens) -> np.ndarray:
 
 
 def _attention(config, weights, k, x):
+    """Self-attention of states `x` (..., n, d), returned as one row per token."""
     prefix = f"layer.{k}.attn"
-    q = tensor_ops.matmul(x, weights[f"{prefix}.q.w"]) + weights[f"{prefix}.q.b"]
-    key = tensor_ops.matmul(x, weights[f"{prefix}.k.w"]) + weights[f"{prefix}.k.b"]
-    v = tensor_ops.matmul(x, weights[f"{prefix}.v.w"]) + weights[f"{prefix}.v.b"]
-    head_dim = config.hidden_dim // config.num_heads
-    scale = np.float32(1.0 / math.sqrt(head_dim))
-    ctx = np.empty_like(q)
-    for h in range(config.num_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        scores = tensor_ops.matmul(q[:, lo:hi], key[:, lo:hi].T) * scale
-        attn = tensor_ops.softmax_rows(scores)
-        ctx[:, lo:hi] = tensor_ops.matmul(attn, v[:, lo:hi])
+    rows = x.reshape(-1, config.hidden_dim)
+    heads_shape = x.shape[:-1] + (config.num_heads, config.hidden_dim // config.num_heads)
+
+    def project(name):
+        out = tensor_ops.matmul(rows, weights[f"{prefix}.{name}.w"]) + weights[f"{prefix}.{name}.b"]
+        return out.reshape(heads_shape).swapaxes(-2, -3)  # (..., H, n, head_dim)
+
+    q, key, v = project("q"), project("k"), project("v")
+    scale = np.float32(1.0 / math.sqrt(heads_shape[-1]))
+    scores = tensor_ops.matmul(q, key.swapaxes(-1, -2)) * scale
+    ctx = tensor_ops.matmul(tensor_ops.softmax_rows(scores), v)
+    ctx = ctx.swapaxes(-2, -3).reshape(rows.shape)
     return tensor_ops.matmul(ctx, weights[f"{prefix}.o.w"]) + weights[f"{prefix}.o.b"]
 
 
 def encoder_layer(config, weights, k, x) -> np.ndarray:
-    """One post-norm encoder block; `k` is the 0-based storage index."""
+    """One post-norm encoder block on states (..., n, d); `k` is the 0-based storage index."""
     prefix = f"layer.{k}"
-    y1 = x + _attention(config, weights, k, x)
+    rows = x.reshape(-1, config.hidden_dim)
+    y1 = rows + _attention(config, weights, k, x)
     if config.norm_mode == "standard":
         y1 = tensor_ops.layernorm(
             y1, weights[f"{prefix}.ln1.g"], weights[f"{prefix}.ln1.b"], LAYERNORM_EPS
@@ -67,11 +80,14 @@ def encoder_layer(config, weights, k, x) -> np.ndarray:
         y = tensor_ops.layernorm(
             y, weights[f"{prefix}.ln2.g"], weights[f"{prefix}.ln2.b"], LAYERNORM_EPS
         )
-    return y
+    return y.reshape(x.shape)
 
 
 def forward_hidden_states(config, weights, tokens) -> list:
-    """All L+1 hidden states for one sequence, computed in a single pass."""
+    """All L+1 hidden states, computed in a single pass.
+
+    For one sequence each state is (n, d); for a (B, n) id array, (B, n, d).
+    """
     states = [embed(config, weights, tokens)]
     for k in range(config.num_layers):
         states.append(encoder_layer(config, weights, k, states[-1]))

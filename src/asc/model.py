@@ -223,7 +223,8 @@ def load_model(path):
         raise FormatError(f"{path}: truncated header (claims {header_len} bytes)")
     try:
         header = json.loads(blob[header_start: header_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder can follow
         raise FormatError(f"{path}: unparseable header ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")

@@ -147,7 +147,8 @@ def write_plan(plan_obj: PrunePlan, path):
 def load_plan(path) -> PrunePlan:
     try:
         payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the JSON decoder can follow
         raise FormatError(f"{path}: unparseable plan JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: plan must be a JSON object")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import length_batches
 from .errors import FormatError, ValidationError
 from .fileio import atomic_write, read_text
 from .forward import forward_hidden_states
@@ -67,12 +68,18 @@ class SimilarityAccumulator:
         return self._sums
 
     def add_states(self, states):
-        """Accumulate a whole sequence's hidden states (list of (n, d) arrays)."""
+        """Accumulate the hidden states of a sequence or a batch of them
+        (a list of (..., n, d) arrays, one per layer)."""
         if len(states) != self.size:
             raise ValidationError(
                 f"sequence has {len(states)} hidden states, accumulator expects {self.size}"
             )
-        unit = unit_rows(np.stack(states))
+        # one layer at a time into one float64 block, so a batch holds no
+        # float32 or float64 copy of its whole state stack beside it
+        d = states[0].shape[-1]
+        unit = np.empty((self.size, states[0].size // d, d))
+        for k, state in enumerate(states):
+            unit[k] = unit_rows(state.reshape(-1, d))
         grams = np.einsum("ind,jnd->nij", unit, unit)
         np.clip(grams, -1.0, 1.0, out=grams)
         self._sums += grams.sum(axis=0)
@@ -99,8 +106,9 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
     The dataset is sharded by sequence across workers (round-robin); each
-    worker owns a private sum matrix and the shards are merged in fixed
-    worker order, so results are stable to within addition reordering.
+    worker runs its shard in equal-length batches, owns a private sum matrix,
+    and the shards are merged in fixed worker order, so results are stable
+    to within addition reordering.
     """
     if dataset.total_tokens == 0:
         raise ValidationError("cannot analyze an empty dataset (0 tokens)")
@@ -108,8 +116,8 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
 
     def run_shard(sequences):
         acc = SimilarityAccumulator(size)
-        for seq in sequences:
-            acc.add_states(forward_hidden_states(config, weights, seq))
+        for _, ids in length_batches(sequences, config):
+            acc.add_states(forward_hidden_states(config, weights, ids))
         return acc
 
     merged, *rest = dataset.map_shards(run_shard, workers)

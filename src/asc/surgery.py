@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import length_batches
 from .errors import ValidationError
 from .forward import final_hidden_state
 from .model import ModelWeights, tensor_shapes
@@ -64,12 +65,13 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
     if dataset.total_tokens == 0:
         raise ValidationError("cannot compare over an empty dataset (0 tokens)")
 
-    cos_sum = 0.0
+    seq_sums = [0.0] * len(dataset)
     cos_min = np.inf
     diff_max = 0.0
-    for seq in dataset.sequences:
-        out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
-        out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
+    d = config_a.hidden_dim
+    for indices, ids in length_batches(dataset.sequences, config_a, config_b):
+        out_a = final_hidden_state(config_a, weights_a, ids).reshape(-1, d).astype(np.float64)
+        out_b = final_hidden_state(config_b, weights_b, ids).reshape(-1, d).astype(np.float64)
         unit_a = unit_rows(out_a)
         cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
         # bit-identical live rows (non-zero unit vectors) score exactly 1,
@@ -77,9 +79,12 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
         # instead of 1 - ulp
         cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
         np.clip(cos, -1.0, 1.0, out=cos)
-        cos_sum += cos.sum()
+        for i, seq_cos in zip(indices, cos.reshape(len(indices), -1)):
+            seq_sums[i] = seq_cos.sum()
         cos_min = min(cos_min, cos.min())
         diff_max = max(diff_max, np.abs(out_a - out_b).max())
+    # summed per sequence, in dataset order, whatever the batching
+    cos_sum = sum(seq_sums)
     count = dataset.total_tokens
     return DivergenceReport(
         token_count=count,

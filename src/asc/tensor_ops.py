@@ -19,32 +19,38 @@ NORM_EPS = 1e-12
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, stored as float32."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product with float64 accumulation, stored as float32.
+
+    Operands may be stacks of matrices, (..., m, k) x (..., k, n); each
+    slice is multiplied as a 2-D product, as in `np.matmul`.
+    """
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected 2-D input, got shape {x.shape}")
+    """Softmax over the last axis, with per-row max subtraction for stability."""
+    if x.ndim < 2:
+        raise ShapeError(f"softmax_rows: expected at least 2-D input, got shape {x.shape}")
     shifted = x.astype(np.float64)
-    shifted -= shifted.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return (expd / expd.sum(axis=1, keepdims=True)).astype(np.float32)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted.astype(np.float32)
 
 
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
               eps: float = 1e-12) -> np.ndarray:
-    """Normalize each row to zero mean / unit population variance, then scale and shift."""
-    if x.ndim != 2 or gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+    """Normalize each last-axis row to zero mean / unit population variance,
+    then scale and shift."""
+    if x.ndim < 2 or gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(
             f"layernorm: x {x.shape} incompatible with gamma {gamma.shape}, beta {beta.shape}"
         )
     x64 = x.astype(np.float64)
-    mean = x64.mean(axis=1, keepdims=True)
-    var = x64.var(axis=1, keepdims=True)
+    mean = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
     normed = (x64 - mean) / np.sqrt(var + eps)
     return (normed * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
 
@@ -52,8 +58,16 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 def gelu(x: np.ndarray) -> np.ndarray:
     """Elementwise GELU, tanh approximation."""
     x64 = x.astype(np.float64)
-    inner = GELU_COEF * (x64 + 0.044715 * x64 ** 3)
-    return (0.5 * x64 * (1.0 + np.tanh(inner))).astype(np.float32)
+    # x*x*x, not x**3: numpy's float64 power is ~60x slower than two
+    # multiplies and agrees with them to within a float32 ulp after the cast
+    inner = GELU_COEF * (x64 + 0.044715 * (x64 * x64 * x64))
+    # 0.5 * x * (1 + tanh(inner)), in place: the float64 FFN block is the
+    # largest activation of a batch
+    np.tanh(inner, out=inner)
+    inner += 1.0
+    x64 *= 0.5
+    inner *= x64
+    return inner.astype(np.float32)
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:

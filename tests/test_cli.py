@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from asc.cli import main
-from asc.model import load_model
+from asc.forward import final_hidden_state
+from asc.model import MAGIC, load_model
 from asc.planner import load_plan
 from asc.similarity import load_matrix_csv, write_matrix_csv, SimilarityMatrix
 
@@ -234,34 +236,56 @@ class TestPruneCommands:
         assert config.num_layers == 0
 
 
+def assert_refused(capsys, argv, out):
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in any text input ends as `error: ...`."""
-
-    @staticmethod
-    def assert_refused(capsys, argv, out):
-        assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
 
     def test_dataset(self, pipeline_files, capsys):
         tmp_path, model, data = pipeline_files
         data.write_bytes(data.read_bytes() + b"1 2 \xff\n")
-        self.assert_refused(capsys, ["analyze", "--model", str(model), "--data", str(data)],
-                            tmp_path / "sim.csv")
+        assert_refused(capsys, ["analyze", "--model", str(model), "--data", str(data)],
+                       tmp_path / "sim.csv")
 
     def test_matrix_csv(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         write_matrix(sim, HAND_VALUES)
         sim.write_bytes(sim.read_bytes().replace(b"0.95", b"0.9\xff", 1))
-        self.assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
-                            tmp_path / "plan.json")
+        assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
+                       tmp_path / "plan.json")
 
     def test_plan_json(self, pipeline_files, capsys):
         tmp_path, model, _ = pipeline_files
         plan_path = tmp_path / "plan.json"
         plan_path.write_bytes(b'{"version": 1, "mode": "\xff"}\n')
-        self.assert_refused(capsys, ["prune", "--model", str(model), "--plan", str(plan_path)],
-                            tmp_path / "pruned.ascm")
+        assert_refused(capsys, ["prune", "--model", str(model), "--plan", str(plan_path)],
+                       tmp_path / "pruned.ascm")
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder can follow ends as `error: ...`."""
+
+    NESTED = b"[" * 200_000
+
+    def test_model_header(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        blob = model.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        model.write_bytes(MAGIC + struct.pack("<I", len(self.NESTED)) + self.NESTED
+                          + blob[12 + header_len:])
+        assert_refused(capsys, ["random-prune", "--model", str(model), "--count", "0",
+                                "--seed", "0"], tmp_path / "pruned.ascm")
+
+    def test_plan_json(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_bytes(self.NESTED)
+        assert_refused(capsys, ["prune", "--model", str(model), "--plan", str(plan_path)],
+                       tmp_path / "pruned.ascm")
 
 
 class TestRender:
@@ -302,6 +326,21 @@ class TestCompareAndForward:
         rows = out.read_text().splitlines()
         assert len(rows) == 1
         assert len(rows[0].split(",")) == 16
+
+    def test_forward_keeps_input_order_across_length_batches(self, pipeline_files):
+        tmp_path, model, _ = pipeline_files
+        rng = np.random.default_rng(3)
+        sequences = [rng.integers(0, 40, size=n).tolist() for n in (5, 9, 5, 9, 7)]
+        data = tmp_path / "interleaved.txt"
+        data.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in sequences))
+        out = tmp_path / "emb.csv"
+        assert main(["forward", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        config, weights = load_model(model)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for seq in sequences
+                           for row in final_hidden_state(config, weights, seq))
+        assert out.read_text() == expected
 
     def test_forward_row_count_matches_tokens(self, pipeline_files):
         tmp_path, model, data = pipeline_files

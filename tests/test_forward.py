@@ -208,3 +208,38 @@ class TestTaps:
         tokens = [1, 2]
         npt.assert_array_equal(final_hidden_state(config, weights, tokens),
                                embed(config, weights, tokens))
+
+
+class TestBatches:
+    """A (B, n) batch gives each sequence exactly its single-sequence states."""
+
+    @pytest.mark.parametrize("norm_mode", ["standard", "none"])
+    @pytest.mark.parametrize("layers, d, heads, ffn, batch, n", [
+        (1, 4, 1, 3, 2, 2),
+        (2, 8, 2, 16, 3, 5),
+        (3, 12, 3, 7, 5, 17),
+        (2, 32, 4, 64, 4, 33),
+        (1, 64, 8, 256, 6, 128),
+        (2, 6, 2, 5, 1, 1),
+    ])
+    def test_each_row_equals_its_single_sequence_states(self, norm_mode, layers, d, heads,
+                                                         ffn, batch, n):
+        config, weights = make_model(num_layers=layers, hidden_dim=d, num_heads=heads,
+                                     ffn_dim=ffn, vocab_size=30, max_seq_len=128,
+                                     norm_mode=norm_mode, seed=d + n)
+        ids = np.random.default_rng(n).integers(0, 30, size=(batch, n))
+        states = forward_hidden_states(config, weights, ids)
+        assert len(states) == layers + 1
+        for b in range(batch):
+            single = forward_hidden_states(config, weights, ids[b].tolist())
+            for got, want in zip(states, single):
+                assert got.shape == (batch, n, d)
+                npt.assert_array_equal(got[b], want)
+
+    def test_encoder_layer_keeps_batch_shape(self, tiny_model):
+        config, weights = tiny_model
+        x = np.random.default_rng(4).standard_normal((3, 5, config.hidden_dim)).astype(np.float32)
+        out = encoder_layer(config, weights, 0, x)
+        assert out.shape == x.shape
+        for b in range(3):
+            npt.assert_array_equal(out[b], encoder_layer(config, weights, 0, x[b]))

@@ -3,11 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from asc import synth
+from asc.data import TokenDataset
 from asc.errors import ValidationError
 from asc.forward import final_hidden_state, forward_hidden_states
 from asc.model import load_model, save_model
 from asc.planner import PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
+from asc.tensor_ops import unit_rows
 from conftest import make_model
 
 
@@ -115,7 +117,35 @@ class TestApplyPlan:
                 npt.assert_array_equal(loaded_weights[name], new_weights[name])
 
 
+def compare_per_sequence(config_a, weights_a, config_b, weights_b, dataset):
+    """Reference report: one sequence at a time, summed in dataset order."""
+    cos_sum, cos_min, diff_max = 0.0, np.inf, 0.0
+    for seq in dataset.sequences:
+        out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
+        out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
+        unit_a = unit_rows(out_a)
+        cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
+        cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
+        np.clip(cos, -1.0, 1.0, out=cos)
+        cos_sum += cos.sum()
+        cos_min = min(cos_min, cos.min())
+        diff_max = max(diff_max, np.abs(out_a - out_b).max())
+    return (float(cos_sum / dataset.total_tokens), float(cos_min), float(diff_max))
+
+
 class TestCompareModels:
+    def test_batched_report_equals_per_sequence_report(self):
+        config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=16,
+                                     vocab_size=20, seed=6)
+        pruned_config, pruned_weights = apply_plan(config, weights, asc_plan([2], [(1, 2)]))
+        rng = np.random.default_rng(6)
+        dataset = TokenDataset([rng.integers(0, 20, size=n).tolist()
+                                for n in (5, 9, 1, 5, 9, 7, 1, 5)])
+        report = compare_models(config, weights, pruned_config, pruned_weights, dataset)
+        assert (report.mean_cosine, report.min_cosine, report.max_abs_diff) == \
+            compare_per_sequence(config, weights, pruned_config, pruned_weights, dataset)
+        assert report.token_count == dataset.total_tokens
+
     def test_model_against_itself(self, tiny_model):
         config, weights = tiny_model
         dataset = synth.gen_dataset(6, 2, 10, config.vocab_size, seed=50)

@@ -54,6 +54,23 @@ class TestMatmul:
         out = matmul(np.ones((2, 2), dtype=np.float32), np.ones((2, 2), dtype=np.float32))
         assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("lead, m, k, n", [
+        ((3,), 1, 4, 1), ((2, 4), 5, 3, 5), ((4, 8), 17, 8, 17), ((2, 8), 33, 32, 4),
+    ])
+    def test_stacked_equals_each_2d_slice(self, lead, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        a = rng.standard_normal(lead + (m, k)).astype(np.float32)
+        b = rng.standard_normal(lead + (k, n)).astype(np.float32)
+        out = matmul(a, b)
+        assert out.shape == lead + (m, n)
+        for index in np.ndindex(*lead):
+            npt.assert_array_equal(out[index], matmul(a[index], b[index]))
+
+    def test_stacked_inner_dim_mismatch(self):
+        with pytest.raises(ShapeError) as err:
+            matmul(np.zeros((2, 3, 4), dtype=np.float32), np.zeros((2, 5, 3), dtype=np.float32))
+        assert "(2, 3, 4)" in str(err.value) and "(2, 5, 3)" in str(err.value)
+
 
 class TestSoftmaxRows:
     def test_symmetric_two_logits(self):
@@ -76,6 +93,17 @@ class TestSoftmaxRows:
         out = softmax_rows(x)
         assert np.all(out >= 0)
         npt.assert_allclose(out.sum(axis=1), np.ones(m), atol=1e-6)
+
+    def test_stacked_equals_each_2d_slice(self):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal((2, 3, 7, 7)) * 30).astype(np.float32)
+        out = softmax_rows(x)
+        for index in np.ndindex(2, 3):
+            npt.assert_array_equal(out[index], softmax_rows(x[index]))
+
+    def test_rejects_1d(self):
+        with pytest.raises(ShapeError):
+            softmax_rows(np.zeros(3, dtype=np.float32))
 
 
 class TestLayernorm:
@@ -106,6 +134,15 @@ class TestLayernorm:
             layernorm(np.zeros((2, 3), dtype=np.float32),
                       np.ones(4, dtype=np.float32), np.zeros(4, dtype=np.float32))
 
+    def test_stacked_equals_each_2d_slice(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 5, 8)).astype(np.float32)
+        gamma = rng.standard_normal(8).astype(np.float32)
+        beta = rng.standard_normal(8).astype(np.float32)
+        out = layernorm(x, gamma, beta)
+        for i in range(3):
+            npt.assert_array_equal(out[i], layernorm(x[i], gamma, beta))
+
 
 class TestGelu:
     def test_zero(self):
@@ -120,6 +157,18 @@ class TestGelu:
 
     def test_coefficient_is_sqrt_two_over_pi(self):
         assert abs(GELU_COEF - math.sqrt(2.0 / math.pi)) < 1e-9
+
+    def test_within_one_ulp_of_the_power_form(self):
+        # x*x*x and x**3 differ by at most one float64 rounding, which is
+        # at most 1 ulp after the float32 cast
+        rng = np.random.default_rng(21)
+        x = np.concatenate([
+            rng.standard_normal(200_000) * 3,
+            rng.uniform(-60.0, 60.0, 50_000),
+        ]).astype(np.float32)
+        x64 = x.astype(np.float64)
+        power = 0.5 * x64 * (1.0 + np.tanh(GELU_COEF * (x64 + 0.044715 * x64 ** 3)))
+        npt.assert_array_max_ulp(gelu(x), power.astype(np.float32), maxulp=1)
 
     @given(st.floats(-5.0, 5.0))
     @settings(max_examples=50, deadline=None)
