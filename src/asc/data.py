@@ -1,7 +1,8 @@
 """Token datasets: in-memory form and the plain-text file format.
 
-Dataset files hold one sequence per line as whitespace-separated decimal
-token ids; lines starting with ``#`` and blank lines are ignored.
+Dataset files hold one sequence per line as whitespace-separated token ids
+in ASCII decimal digits; lines starting with ``#`` and blank lines are
+ignored.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -31,12 +32,14 @@ class TokenDataset:
         return len(self.sequences)
 
     def map_shards(self, fn, workers: int) -> list:
-        """`fn(shard)` for each of `workers` round-robin shards, in shard order.
+        """`fn(shard)` for each round-robin shard, in shard order.
 
-        Shards run on a thread pool, or inline when workers == 1.
+        There are `workers` shards, or one per sequence if there are fewer
+        sequences. Shards run on a thread pool, or inline when there is one.
         """
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
+        workers = min(workers, max(1, len(self.sequences)))
         shards = [self.sequences[w::workers] for w in range(workers)]
         if workers == 1:
             return [fn(shards[0])]
@@ -89,13 +92,17 @@ def load_dataset(path) -> TokenDataset:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        fields = stripped.split()
+        for tok in fields:
+            # ASCII digits only: int() would also read "1_0" and non-ASCII digits
+            if not (tok.isascii() and tok.isdigit()):
+                if tok[:1] == "-" and tok[1:].isascii() and tok[1:].isdigit():
+                    raise FormatError(f"{path}:{lineno}: negative token id")
+                raise FormatError(f"{path}:{lineno}: non-integer token id {tok!r}")
         try:
-            tokens = [int(tok) for tok in stripped.split()]
-        except ValueError as exc:
+            sequences.append([int(tok) for tok in fields])
+        except ValueError as exc:  # beyond the interpreter's digit limit
             raise FormatError(f"{path}:{lineno}: non-integer token id ({exc})") from exc
-        if any(t < 0 for t in tokens):
-            raise FormatError(f"{path}:{lineno}: negative token id")
-        sequences.append(tokens)
     return TokenDataset(sequences)
 
 

@@ -11,6 +11,7 @@ refuses any other layout.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -204,27 +205,54 @@ def save_model(config: ModelConfig, weights: ModelWeights, path):
 def load_model(path):
     """Read and fully validate a container file.
 
+    The header is read and checked first, and a payload size beyond the file
+    is refused before anything is allocated. The payload is then read once
+    into one buffer, and each tensor is a writable float32 view into it.
     Every malformed input raises FormatError or ValidationError; a partially
     constructed model is never returned.
     """
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
+            config, layout, payload = _read_container(handle, path)
     except OSError as exc:
         raise OSError(f"failed to read model file {path}: {exc}") from exc
+    tensors = {}
+    for name, entry in layout.items():
+        offset = entry["offset"]
+        tensors[name] = (
+            payload[offset: offset + 4 * math.prod(entry["shape"])]
+            .view("<f4")
+            .reshape(entry["shape"])
+        )
+    weights = ModelWeights(tensors)
+    validate_weights(config, weights)
+    return config, weights
 
-    if len(blob) < len(MAGIC) + 4:
-        raise FormatError(f"{path}: file too short for magic and header length")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
-    (header_len,) = struct.unpack("<I", blob[len(MAGIC): len(MAGIC) + 4])
+
+def _read_container(handle, path):
+    """Check the header of an open container, then read its payload.
+
+    Returns the config, the canonical layout and the payload as one uint8
+    array; offsets in the layout are 8-aligned, so every tensor view into
+    the array is aligned.
+    """
+    file_size = os.fstat(handle.fileno()).st_size
     header_start = len(MAGIC) + 4
-    if header_len == 0 or header_start + header_len > len(blob):
+    prefix = handle.read(header_start)
+    if len(prefix) < header_start:
+        raise FormatError(f"{path}: file too short for magic and header length")
+    if prefix[: len(MAGIC)] != MAGIC:
+        raise FormatError(f"{path}: bad magic {prefix[:len(MAGIC)]!r}")
+    (header_len,) = struct.unpack("<I", prefix[len(MAGIC):])
+    # never read (or buffer) more than the file holds, whatever the prefix claims
+    header_bytes = handle.read(header_len) if header_start + header_len <= file_size else b""
+    if header_len == 0 or len(header_bytes) < header_len:
         raise FormatError(f"{path}: truncated header (claims {header_len} bytes)")
     try:
-        header = json.loads(blob[header_start: header_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the JSON decoder can follow
+        header = json.loads(header_bytes.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer beyond the interpreter's
+        # digit limit; RecursionError: nesting deeper than the decoder can follow
         raise FormatError(f"{path}: unparseable header ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
@@ -251,17 +279,6 @@ def load_model(path):
     if extra:
         raise FormatError(f"{path}: unexpected tensors {extra}")
 
-    payload = blob[header_start + header_len:]
-    if len(payload) < payload_len:
-        raise FormatError(
-            f"{path}: truncated payload ({len(payload)} bytes, header claims {payload_len})"
-        )
-    if len(payload) > payload_len:
-        raise FormatError(
-            f"{path}: payload length mismatch ({len(payload)} bytes, expected {payload_len})"
-        )
-
-    tensors = {}
     for name, expected in layout.items():
         entry = described[name]
         # == alone would accept False for 0 and 8.0 for 8
@@ -269,13 +286,20 @@ def load_model(path):
             raise FormatError(
                 f"{path}: tensor {name!r} entry {entry!r} is not the canonical {expected!r}"
             )
-        shape = expected["shape"]
-        tensors[name] = (
-            np.frombuffer(payload, dtype="<f4", count=math.prod(shape), offset=expected["offset"])
-            .reshape(shape)
-            .astype(np.float32)
-        )
 
-    weights = ModelWeights(tensors)
-    validate_weights(config, weights)
-    return config, weights
+    available = file_size - header_start - header_len
+    if available < payload_len:
+        raise FormatError(
+            f"{path}: truncated payload ({available} bytes, header claims {payload_len})"
+        )
+    if available > payload_len:
+        raise FormatError(
+            f"{path}: payload length mismatch ({available} bytes, expected {payload_len})"
+        )
+    payload = np.empty(payload_len, dtype=np.uint8)
+    got = handle.readinto(payload)
+    if got < payload_len:
+        raise FormatError(
+            f"{path}: truncated payload ({got} bytes, header claims {payload_len})"
+        )
+    return config, layout, payload

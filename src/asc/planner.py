@@ -147,8 +147,9 @@ def write_plan(plan_obj: PrunePlan, path):
 def load_plan(path) -> PrunePlan:
     try:
         payload = json.loads(read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the JSON decoder can follow
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not JSON, or an integer beyond the interpreter's digit
+        # limit; RecursionError: nesting deeper than the decoder can follow
         raise FormatError(f"{path}: unparseable plan JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: plan must be a JSON object")

@@ -17,7 +17,10 @@ from .fileio import atomic_write, read_text
 from .forward import forward_hidden_states
 from .tensor_ops import unit_rows
 
-CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$")
+CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$", re.ASCII)
+# ASCII decimals as `repr(float)` writes them; float() alone would also read
+# "0.9_9", non-ASCII digits, surrounding whitespace, "nan" and "inf"
+CSV_VALUE_RE = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?", re.ASCII)
 
 
 @dataclass
@@ -143,7 +146,10 @@ def load_matrix_csv(path) -> SimilarityMatrix:
     match = CSV_HEADER_RE.match(lines[0])
     if not match:
         raise FormatError(f"{path}:1: expected '# asc-sim v1 layers=<n> tokens=<n>' header")
-    size, tokens = int(match.group(1)), int(match.group(2))
+    try:
+        size, tokens = int(match.group(1)), int(match.group(2))
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise FormatError(f"{path}:1: header count out of range ({exc})") from exc
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -151,10 +157,10 @@ def load_matrix_csv(path) -> SimilarityMatrix:
         parts = line.split(",")
         if len(parts) != size:
             raise FormatError(f"{path}:{lineno}: expected {size} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: unparseable value ({exc})") from exc
+        bad = [p for p in parts if not CSV_VALUE_RE.fullmatch(p)]
+        if bad:
+            raise FormatError(f"{path}:{lineno}: unparseable value {bad[0]!r}")
+        rows.append([float(p) for p in parts])
     if len(rows) != size:
         raise FormatError(f"{path}: expected {size} matrix rows, got {len(rows)}")
     matrix = SimilarityMatrix(values=np.array(rows, dtype=np.float64), token_count=tokens)

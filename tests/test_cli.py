@@ -288,6 +288,79 @@ class TestDeeplyNestedJson:
                        tmp_path / "pruned.ascm")
 
 
+class TestStrictNumbers:
+    """Numbers that Python's int() or float() would coerce are refused."""
+
+    @pytest.mark.parametrize("line", ["1_0 2 3", "\u0663 2 3", "1 +2 3"])
+    def test_dataset_token(self, pipeline_files, capsys, line):
+        tmp_path, model, _ = pipeline_files
+        data = tmp_path / "odd.txt"
+        data.write_text(f"1 2\n{line}\n", encoding="utf-8")
+        assert_refused(capsys, ["forward", "--model", str(model), "--data", str(data)],
+                       tmp_path / "emb.csv")
+
+    def test_negative_token_keeps_its_message(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        data = tmp_path / "neg.txt"
+        data.write_text("1 2\n3 -4\n")
+        out = tmp_path / "emb.csv"
+        assert main(["forward", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert "neg.txt:2: negative token id" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("0.95", "0.9_5"),
+        ("0.95", "\u0660.95"),
+        ("0.95", " 0.95"),
+        ("tokens=10", "tokens=\u0665"),
+        ("layers=4", "layers=\u0664"),
+    ])
+    def test_matrix_csv_value(self, tmp_path, capsys, old, new):
+        sim = tmp_path / "sim.csv"
+        write_matrix(sim, HAND_VALUES)
+        sim.write_text(sim.read_text().replace(old, new, 1), encoding="utf-8")
+        assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
+                       tmp_path / "plan.json")
+
+
+class TestHugeIntegers:
+    """An integer with more digits than int() converts ends as `error: ...`."""
+
+    DIGITS = "1" * 5000
+
+    def test_model_header(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        blob = model.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = blob[12: 12 + header_len].replace(b'"vocab_size":40',
+                                                   b'"vocab_size":' + self.DIGITS.encode())
+        model.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                          + blob[12 + header_len:])
+        assert_refused(capsys, ["random-prune", "--model", str(model), "--count", "0",
+                                "--seed", "0"], tmp_path / "pruned.ascm")
+
+    def test_plan_json(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text('{"version": ' + self.DIGITS + "}")
+        assert_refused(capsys, ["prune", "--model", str(model), "--plan", str(plan_path)],
+                       tmp_path / "pruned.ascm")
+
+    def test_matrix_header(self, tmp_path, capsys):
+        sim = tmp_path / "sim.csv"
+        write_matrix(sim, HAND_VALUES)
+        sim.write_text(sim.read_text().replace("tokens=10", "tokens=" + self.DIGITS))
+        assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
+                       tmp_path / "plan.json")
+
+    def test_dataset_token(self, pipeline_files, capsys):
+        tmp_path, model, data = pipeline_files
+        data.write_text("1 2\n" + self.DIGITS + "\n")
+        assert_refused(capsys, ["forward", "--model", str(model), "--data", str(data)],
+                       tmp_path / "emb.csv")
+
+
 class TestRender:
     def test_all_ones_pgm(self, tmp_path):
         sim = tmp_path / "sim.csv"

@@ -1,8 +1,10 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asc import synth
 from asc.cli import main
@@ -342,6 +344,147 @@ class TestHeaderConsistency:
     def test_oversized_hidden_dim(self, tmp_path, capsys):
         assert_random_prune_refuses(tmp_path, capsys, {("config", "hidden_dim"): 10**20,
                                                        ("config", "num_heads"): 1})
+
+
+def header_paths(node, prefix=()):
+    """Key path of every value in a JSON document, containers included."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from header_paths(child, prefix + (key,))
+
+
+def other_typed(value):
+    """JSON values of a different type than `value` (int <-> bool/float/str/list, ...)."""
+    candidates = [True, False, 0, 8, 2.5, "1", "f32", [1], [], {}, None]
+    if type(value) is int:
+        candidates += [float(value), str(value), [value], bool(value)]
+    return [c for c in candidates if type(c) is not type(value)]
+
+
+class TestLoaderTotality:
+    """Truncations, byte flips and header type swaps of a valid file end in
+    FormatError or ValidationError, never in another exception."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                     vocab_size=6, max_seq_len=5)
+        directory = tmp_path_factory.mktemp("totality")
+        save_model(config, weights, directory / "valid.ascm")
+        return (directory / "valid.ascm").read_bytes(), directory / "case.ascm"
+
+    def test_every_truncation_refused(self, valid):
+        blob, path = valid
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises((FormatError, ValidationError)):
+                load_model(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(data=st.data())
+    def test_single_byte_flip(self, valid, data):
+        blob, path = valid
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        flip = data.draw(st.integers(1, 255))
+        path.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        try:
+            load_model(path)
+        except (FormatError, ValidationError):
+            pass  # a flip inside the payload may leave a valid model
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(data=st.data())
+    def test_header_type_swap_refused(self, valid, data):
+        blob, path = valid
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12: 12 + header_len])
+        keys = data.draw(st.sampled_from(list(header_paths(header))))
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = data.draw(st.sampled_from(other_typed(target[keys[-1]])))
+        rewrite_header(path, header, blob[12 + header_len:])
+        with pytest.raises((FormatError, ValidationError)):
+            load_model(path)
+
+
+def config_with_header_residue(tmp_path, residue):
+    """A saved model whose header length is `residue` mod 4, which puts its
+    payload at that alignment within the file."""
+    for num_layers in (1, 2):
+        for vocab_size in range(2, 200):
+            config, weights = make_model(num_layers=num_layers, hidden_dim=4, num_heads=2,
+                                         ffn_dim=8, vocab_size=vocab_size, max_seq_len=5,
+                                         seed=vocab_size)
+            path = tmp_path / "m.ascm"
+            save_model(config, weights, path)
+            if read_header(path)[1] % 4 == residue:
+                return config, weights, path
+    raise AssertionError(f"no header length = {residue} mod 4")
+
+
+class TestLoadedTensors:
+    @pytest.mark.parametrize("residue", [0, 1, 2, 3])
+    def test_aligned_writable_float32_views(self, tmp_path, residue):
+        config, weights, path = config_with_header_residue(tmp_path, residue)
+        loaded_config, loaded = load_model(path)
+        assert loaded_config == config
+        for name, tensor in loaded.tensors.items():
+            assert tensor.dtype == np.float32
+            assert tensor.flags.c_contiguous and tensor.flags.aligned
+            assert tensor.flags.writeable
+            assert tensor.tobytes() == weights[name].tobytes()
+        # views into one payload buffer, not one copy per tensor
+        bases = {id(tensor.base) for tensor in loaded.tensors.values()}
+        assert len(bases) == 1 and loaded["embed.token"].base is not None
+
+    def test_mutate_in_place_then_save(self, tmp_path):
+        config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                     vocab_size=6, max_seq_len=5)
+        path, resaved = tmp_path / "m.ascm", tmp_path / "m2.ascm"
+        save_model(config, weights, path)
+        _, loaded = load_model(path)
+        loaded["layer.0.ffn.w1"][1, 2] = 1.25
+        save_model(config, loaded, resaved)
+        _, reloaded = load_model(resaved)
+        for name, tensor in weights.tensors.items():
+            if name != "layer.0.ffn.w1":
+                assert reloaded[name].tobytes() == tensor.tobytes()
+        expected = weights["layer.0.ffn.w1"].copy()
+        expected[1, 2] = 1.25
+        assert reloaded["layer.0.ffn.w1"].tobytes() == expected.tobytes()
+
+    def test_payload_beyond_file_refused_before_allocating(self, tmp_path, capsys):
+        """A header whose canonical layout claims ~10**15 payload bytes ends as
+        `error: ... truncated payload` with no allocation of that size."""
+        config, weights = make_model(num_layers=1, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                     vocab_size=6, max_seq_len=5)
+        path = tmp_path / "m.ascm"
+        save_model(config, weights, path)
+        blob, header_len, header = read_header(path)
+        vocab_size = 62_500_000_000_000  # embed.token alone is 16 * vocab_size bytes
+        header["config"]["vocab_size"] = vocab_size
+        header["tensors"]["embed.token"]["shape"][0] = vocab_size
+        shift = 16 * (vocab_size - config.vocab_size)
+        for name, entry in header["tensors"].items():
+            if name != "embed.token":
+                entry["offset"] += shift
+        rewrite_header(path, header, blob[12 + header_len:])
+        out = tmp_path / "out.ascm"
+        tracemalloc.start()
+        try:
+            code = main(["random-prune", "--model", str(path), "--count", "0", "--seed", "0",
+                         "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated payload" in err
+        assert peak < 1 << 20
+        assert not out.exists()
 
 
 class TestTensorShapes:

@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from asc import synth
+from asc import data, synth
 from asc.data import TokenDataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import forward_hidden_states
@@ -166,6 +167,35 @@ class TestAnalyze:
         assert single.token_count == multi.token_count
         npt.assert_allclose(single.values, multi.values, atol=1e-9)
 
+    def test_more_workers_than_sequences(self, monkeypatch):
+        """The pool is capped at one worker per sequence; shards and their
+        merge order are those of workers == len(sequences)."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                if max_workers > 100:
+                    raise AssertionError(f"asked for a pool of {max_workers} workers")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(data, "ThreadPoolExecutor", InlineExecutor)
+        config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12)
+        dataset = synth.gen_dataset(5, 2, 8, config.vocab_size, seed=9)
+        capped = analyze(config, weights, dataset, workers=10**6)
+        exact = analyze(config, weights, dataset, workers=5)
+        assert sizes == [5, 5]
+        npt.assert_array_equal(capped.values, exact.values)
+        assert capped.token_count == exact.token_count
+
     def test_empty_dataset_rejected(self, tiny_model):
         config, weights = tiny_model
         with pytest.raises(ValidationError, match="empty"):
@@ -244,6 +274,17 @@ class TestMatrixCsv:
         loaded = load_matrix_csv(path)
         npt.assert_array_equal(loaded.values, matrix.values)
         assert loaded.token_count == matrix.token_count
+
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_every_written_value_round_trips(self, tmp_path_factory, upper):
+        """Each form `repr(float)` takes (exponents, subnormals, -0.0) reads back."""
+        values = np.eye(4)
+        rows, cols = np.triu_indices(4, k=1)
+        values[rows, cols] = values[cols, rows] = upper
+        path = tmp_path_factory.mktemp("csv") / "sim.csv"
+        write_matrix_csv(SimilarityMatrix(values=values, token_count=3), path)
+        assert load_matrix_csv(path).values.tobytes() == values.tobytes()
 
     def test_header_line(self, tmp_path):
         matrix = self.make_matrix(size=13, tokens=42)
