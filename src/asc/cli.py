@@ -98,11 +98,8 @@ def _cmd_random_prune(args):
 
 def _cmd_render(args):
     matrix = similarity.load_matrix_csv(args.sim)
-    if args.format == "pgm":
-        heatmap.write_pgm(matrix.values, args.out)
-    else:
-        heatmap.write_pixel_csv(matrix.values, args.out)
-    print(f"wrote heatmap: {args.out} ({matrix.size}x{matrix.size} {args.format})")
+    heatmap.write_pgm(matrix.values, args.out)
+    print(f"wrote heatmap: {args.out} ({matrix.size}x{matrix.size} pgm)")
 
 
 def _cmd_compare(args):
@@ -188,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a similarity matrix as a grayscale heatmap")
     p.add_argument("--sim", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("compare", help="measure final-layer divergence between two models")

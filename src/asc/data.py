@@ -1,10 +1,12 @@
 """Token datasets: in-memory form and the plain-text file format.
 
-Dataset files hold one sequence per line as whitespace-separated token ids
-in ASCII decimal digits; lines starting with ``#`` and blank lines are
-ignored.
+Dataset files hold one sequence per line as token ids in ASCII decimal
+digits, separated by ASCII whitespace; lines starting with ``#`` and blank
+lines are ignored.
 """
 
+import re
+import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -16,6 +18,10 @@ from .fileio import atomic_write, read_text
 # Token rows per forward batch: bounds the memory that one batch's
 # activations take, however large the dataset.
 MAX_BATCH_ROWS = 1024
+
+# Ids are separated by ASCII whitespace only (`string.whitespace`); str.split()
+# would also split on U+00A0, U+3000 and other non-ASCII spaces.
+_ASCII_SPACE_RUN = re.compile(f"[{re.escape(string.whitespace)}]+")
 
 
 @dataclass
@@ -47,52 +53,70 @@ class TokenDataset:
             return list(pool.map(fn, shards))
 
 
-def validate_sequence(config, tokens):
-    """Check one sequence against a model: non-empty, in-vocab, within max length."""
-    if len(tokens) == 0:
+def validate_sequence(config, tokens) -> np.ndarray:
+    """Check token ids of shape (..., n) against a model; return them as int64.
+
+    `tokens` is one sequence (a list or array) or a batch of equal-length
+    ones. Each sequence must be non-empty and at most max_seq_len long, and
+    every id an integer in [0, vocab_size): float, bool and other non-integer
+    ids are refused, never cast.
+    """
+    try:
+        ids = np.asarray(tokens)
+    except ValueError as exc:  # ragged rows
+        raise ValidationError(f"token ids must form an array of shape (..., n) ({exc})") from exc
+    if ids.ndim == 0:
+        raise ValidationError("token ids must form an array of shape (..., n)")
+    n = ids.shape[-1]
+    if n == 0:
         raise ValidationError("sequence is empty")
-    if len(tokens) > config.max_seq_len:
-        raise ValidationError(
-            f"sequence length {len(tokens)} exceeds max_seq_len {config.max_seq_len}"
-        )
-    for t in tokens:
-        if not 0 <= t < config.vocab_size:
-            raise ValidationError(
-                f"token id {t} out of range [0, {config.vocab_size})"
-            )
+    if n > config.max_seq_len:
+        raise ValidationError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
+    if ids.dtype.kind not in "iu":
+        # numpy stores a list holding an int beyond 64 bits as float64 or
+        # object, so look at the ids themselves
+        ids = np.asarray(tokens, dtype=object)
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                   for t in ids.flat):
+            raise ValidationError("token ids must be integers")
+    bad = (ids < 0) | (ids >= config.vocab_size)
+    if bad.any():
+        raise ValidationError(f"token id {ids[bad][0]} out of range [0, {config.vocab_size})")
+    return ids.astype(np.int64, copy=False)
 
 
-def length_batches(sequences, *configs) -> list:
+def length_batches(sequences, config, *more_configs) -> list:
     """Group `sequences` by exact length into `(indices, ids)` batches.
 
-    Each sequence is checked once against every config. `ids` is the (B, n)
-    int64 array of `sequences[i]` for each `i` in `indices` (ascending); a
-    batch holds at most MAX_BATCH_ROWS tokens unless it is one sequence.
+    Each length group is checked against every config before anything is
+    returned. `ids` is the (B, n) int64 array of `sequences[i]` for each `i`
+    in `indices` (ascending); a batch holds at most MAX_BATCH_ROWS tokens
+    unless it is one sequence.
     Length-1 sequences run alone: a one-row product is a BLAS matrix-vector
     call, whose rounding differs from the matrix-matrix call of a taller
     batch, and a batch must give each sequence exactly its own states.
     """
     by_length = {}
     for i, seq in enumerate(sequences):
-        for config in configs:
-            validate_sequence(config, seq)
         by_length.setdefault(len(seq), []).append(i)
     batches = []
     for n, indices in by_length.items():
+        ids = validate_sequence(config, [sequences[i] for i in indices])
+        for other in more_configs:
+            validate_sequence(other, ids)
         step = 1 if n == 1 else max(1, MAX_BATCH_ROWS // n)
-        for lo in range(0, len(indices), step):
-            chunk = indices[lo: lo + step]
-            batches.append((chunk, np.array([sequences[i] for i in chunk], dtype=np.int64)))
+        batches.extend((indices[lo: lo + step], ids[lo: lo + step])
+                       for lo in range(0, len(indices), step))
     return batches
 
 
 def load_dataset(path) -> TokenDataset:
     sequences = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        stripped = line.strip()
+        stripped = line.strip(string.whitespace)
         if not stripped or stripped.startswith("#"):
             continue
-        fields = stripped.split()
+        fields = _ASCII_SPACE_RUN.split(stripped)
         for tok in fields:
             # ASCII digits only: int() would also read "1_0" and non-ASCII digits
             if not (tok.isascii() and tok.isdigit()):

@@ -27,14 +27,12 @@ LAYERNORM_EPS = 1e-12
 def embed(config, weights, tokens) -> np.ndarray:
     """Token + position embedding rows; row-normalized when norm_mode="standard".
 
-    `tokens` is one sequence of ids, checked here, or an int array of shape
-    (..., n) from `data.length_batches`, which has checked every row.
+    `tokens` is one sequence of ids or an array of shape (..., n), checked by
+    `data.validate_sequence` either way.
     The embedding normalization is parameter-free (gamma=1, beta=0): the
     canonical tensor set carries no embedding-layernorm weights.
     """
-    if not isinstance(tokens, np.ndarray):
-        validate_sequence(config, tokens)
-    ids = np.asarray(tokens, dtype=np.int64)
+    ids = validate_sequence(config, tokens)
     rows = weights["embed.token"][ids] + weights["embed.pos"][: ids.shape[-1]]
     if config.norm_mode == "standard":
         d = config.hidden_dim

@@ -29,12 +29,3 @@ def write_pgm(values: np.ndarray, path):
         for row in pixels:
             handle.write(" ".join(str(int(p)) for p in row))
             handle.write("\n")
-
-
-def write_pixel_csv(values: np.ndarray, path):
-    """The same pixel grid as the PGM, as comma-separated integers."""
-    pixels = to_pixels(values)
-    with atomic_write(path) as handle:
-        for row in pixels:
-            handle.write(",".join(str(int(p)) for p in row))
-            handle.write("\n")

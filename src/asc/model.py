@@ -109,9 +109,6 @@ class ModelWeights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def names(self):
-        return self.tensors.keys()
-
 
 def tensor_shapes(config: ModelConfig) -> dict:
     """Canonical tensor name -> shape map for a given config.

@@ -25,8 +25,6 @@ def apply_plan(config, weights, plan):
         raise ValidationError(
             f"plan names layers {bad} outside this model's range 1..{num_layers}"
         )
-    if plan.anchors and any(j > num_layers for _, j in plan.anchors):
-        raise ValidationError("plan anchors exceed this model's layer count")
 
     removed = set(plan.redundant_layers)
     survivors = [e for e in range(1, num_layers + 1) if e not in removed]

@@ -26,7 +26,8 @@ _PROBE_LEN = 16
 
 
 def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
-    cos = np.einsum("nd,nd->n", unit_rows(before), unit_rows(after))
+    """Mean cosine between matching token states of two (..., n, d) batches."""
+    cos = np.einsum("...d,...d->...", unit_rows(before), unit_rows(after))
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
@@ -91,36 +92,25 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     }
     weights = ModelWeights(tensors)
 
-    probe_len = min(_PROBE_LEN, max_seq_len)
-    probe_seqs = [
-        rng.integers(0, vocab_size, size=probe_len).tolist()
-        for _ in range(_PROBE_SEQUENCES)
-    ]
-    probe_states = [embed(config, weights, seq) for seq in probe_seqs]
+    probe_shape = (_PROBE_SEQUENCES, min(_PROBE_LEN, max_seq_len))
+    probe = embed(config, weights, rng.integers(0, vocab_size, size=probe_shape))
     shapes = tensor_shapes(config)
 
     for encoder_index in range(1, num_layers + 1):
         slot = encoder_index - 1
         if encoder_index in identity:
             tensors.update(_layer_tensors(rng, shapes, slot))
-            for state in probe_states:
-                if not np.array_equal(encoder_layer(config, weights, slot, state), state):
-                    raise RuntimeError(
-                        f"planted identity layer {encoder_index} is not a passthrough"
-                    )
+            if not np.array_equal(encoder_layer(config, weights, slot, probe), probe):
+                raise RuntimeError(f"planted identity layer {encoder_index} is not a passthrough")
             continue
 
         scale = 1.0 / np.sqrt(d)
         accepted = False
         for _ in range(_MAX_SCALE_RETRIES):
             tensors.update(_layer_tensors(rng, shapes, slot, scale))
-            outputs = [encoder_layer(config, weights, slot, state) for state in probe_states]
-            mean_cos = np.mean([
-                _mean_token_cosine(state, out)
-                for state, out in zip(probe_states, outputs)
-            ])
-            if mean_cos < SEPARATION_CAP:
-                probe_states = outputs
+            out = encoder_layer(config, weights, slot, probe)
+            if _mean_token_cosine(probe, out) < SEPARATION_CAP:
+                probe = out
                 accepted = True
                 break
             scale *= 2.0

@@ -24,6 +24,23 @@ def make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=2
     return config, ModelWeights(tensors)
 
 
+def header_paths(node, prefix=()):
+    """Key path of every value in a JSON document, containers included."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from header_paths(child, prefix + (key,))
+
+
+def other_typed(value):
+    """JSON values of a different type than `value` (int <-> bool/float/str/list, ...)."""
+    candidates = [True, False, 0, 8, 2.5, "1", "f32", [1], [], {}, None]
+    if type(value) is int:
+        candidates += [float(value), str(value), [value], bool(value)]
+    return [c for c in candidates if type(c) is not type(value)]
+
+
 @pytest.fixture
 def tiny_model():
     return make_model()

@@ -291,7 +291,7 @@ class TestDeeplyNestedJson:
 class TestStrictNumbers:
     """Numbers that Python's int() or float() would coerce are refused."""
 
-    @pytest.mark.parametrize("line", ["1_0 2 3", "\u0663 2 3", "1 +2 3"])
+    @pytest.mark.parametrize("line", ["1_0 2 3", "\u0663 2 3", "1 +2 3", "1\u00a02\u30003"])
     def test_dataset_token(self, pipeline_files, capsys, line):
         tmp_path, model, _ = pipeline_files
         data = tmp_path / "odd.txt"
@@ -360,6 +360,16 @@ class TestHugeIntegers:
         assert_refused(capsys, ["forward", "--model", str(model), "--data", str(data)],
                        tmp_path / "emb.csv")
 
+    def test_dataset_token_beyond_64_bits_is_out_of_range(self, pipeline_files, capsys):
+        tmp_path, model, data = pipeline_files
+        data.write_text("1 2\n3 100000000000000000000\n")
+        out = tmp_path / "emb.csv"
+        assert main(["forward", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: token id 100000000000000000000 out of range [0, 40)\n")
+        assert not out.exists()
+
 
 class TestRender:
     def test_all_ones_pgm(self, tmp_path):
@@ -371,13 +381,15 @@ class TestRender:
         assert lines[0] == "P2"
         assert all(pix == "255" for row in lines[3:] for pix in row.split())
 
-    def test_csv_format(self, tmp_path):
+    def test_format_option_refused(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         write_matrix(sim, np.eye(2))
         out = tmp_path / "px.csv"
-        assert main(["render", "--sim", str(sim), "--out", str(out),
-                     "--format", "csv"]) == 0
-        assert out.read_text().splitlines() == ["255,128", "128,255"]
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--sim", str(sim), "--out", str(out), "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareAndForward:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asc.data import (
     MAX_BATCH_ROWS,
@@ -37,6 +38,18 @@ class TestFileFormat:
         with pytest.raises(FormatError, match=":2"):
             load_dataset(path)
 
+    def test_ascii_whitespace_separates(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("\t1 \x0b2\x0c  3\r\n 4\n", newline="")
+        assert load_dataset(path).sequences == [[1, 2, 3], [4]]
+
+    @pytest.mark.parametrize("line", ["1\u00a02\u30003", "1 2\u2003", "\u00a0"])
+    def test_non_ascii_whitespace_is_not_a_separator(self, tmp_path, line):
+        path = tmp_path / "d.txt"
+        path.write_text(f"1 2\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=":2: non-integer token id"):
+            load_dataset(path)
+
     def test_total_tokens(self):
         assert TokenDataset([[1, 2], [3]]).total_tokens == 3
         assert TokenDataset([]).total_tokens == 0
@@ -61,6 +74,57 @@ class TestValidateSequence:
         config, _ = tiny_model
         with pytest.raises(ValidationError, match="out of range"):
             validate_sequence(config, [config.vocab_size])
+
+    def test_returns_int64_ids(self, tiny_model):
+        config, _ = tiny_model
+        ids = validate_sequence(config, [[1, 2], [3, 4]])
+        assert ids.dtype == np.int64 and ids.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("tokens, bad", [
+        ([1, 2**63], 2**63),
+        ([2**64], 2**64),
+        ([-1, 2**63], -1),
+        ([3, 10**20], 10**20),
+        ([[1, 2], [3, 10**20]], 10**20),
+    ])
+    def test_ids_beyond_64_bits_read_out_of_range(self, tokens, bad):
+        config, _ = make_model(vocab_size=20)
+        with pytest.raises(ValidationError, match=rf"token id {bad} out of range \[0, 20\)"):
+            validate_sequence(config, tokens)
+
+    LOOP_CONFIG = make_model(vocab_size=20, max_seq_len=16)[0]
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(st.lists(st.one_of(st.integers(0, 19), st.integers(-2**70, 2**70)), max_size=18))
+    def test_matches_per_token_loop(self, tokens):
+        """The vectorized check refuses what a per-token loop refuses, with the
+        same message, and passes the rest through unchanged."""
+        config = self.LOOP_CONFIG
+        if not tokens:
+            expected = "sequence is empty"
+        elif len(tokens) > 16:
+            expected = f"sequence length {len(tokens)} exceeds max_seq_len 16"
+        else:
+            bad = [t for t in tokens if not 0 <= t < 20]
+            expected = f"token id {bad[0]} out of range [0, 20)" if bad else None
+        if expected is None:
+            assert validate_sequence(config, tokens).tolist() == tokens
+        else:
+            with pytest.raises(ValidationError) as exc:
+                validate_sequence(config, tokens)
+            assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("tokens", [[1.0, 2.0], [True], ["1"], [None, 1]])
+    def test_non_integer_ids_rejected(self, tiny_model, tokens):
+        config, _ = tiny_model
+        with pytest.raises(ValidationError, match="must be integers"):
+            validate_sequence(config, tokens)
+
+    @pytest.mark.parametrize("tokens", [[[1, 2], [3]], 5])
+    def test_not_an_id_array_rejected(self, tiny_model, tokens):
+        config, _ = tiny_model
+        with pytest.raises(ValidationError, match=r"shape \(\.\.\., n\)"):
+            validate_sequence(config, tokens)
 
 
 class TestLengthBatches:
@@ -122,3 +186,8 @@ class TestLengthBatches:
         length_batches([[9, 9]], wide, narrow)
         with pytest.raises(ValidationError, match=r"token id 15 out of range \[0, 10\)"):
             length_batches([[9, 15]], wide, narrow)
+
+    def test_id_beyond_64_bits_out_of_range(self):
+        config, _ = make_model(vocab_size=20)
+        with pytest.raises(ValidationError, match=r"token id 100000000000000000000 out of range"):
+            length_batches([[1, 2], [3, 10**20]], config)

@@ -87,6 +87,40 @@ class TestEmbed:
         with pytest.raises(ValidationError, match="max_seq_len"):
             embed(config, weights, [0] * 5)
 
+    @pytest.mark.parametrize("norm_mode", ["standard", "none"])
+    def test_batch_equals_per_row_lists(self, norm_mode):
+        config, weights = make_model(vocab_size=30, norm_mode=norm_mode, seed=3)
+        ids = np.random.default_rng(5).integers(0, 30, size=(4, 9))
+        batch = embed(config, weights, ids)
+        assert batch.shape == (4, 9, config.hidden_dim)
+        for b in range(4):
+            npt.assert_array_equal(batch[b], embed(config, weights, ids[b].tolist()))
+
+
+class TestArrayIdsChecked:
+    """Ids given as an array get the same check as a list, on every entry point."""
+
+    @pytest.mark.parametrize("fn", [embed, forward_hidden_states, final_hidden_state])
+    @pytest.mark.parametrize("ids, message", [
+        (np.array([-1, 2]), r"token id -1 out of range \[0, 20\)"),
+        (np.array([[3, 4], [5, -2]]), r"token id -2 out of range"),
+        (np.array([1.7, 2.2]), "must be integers"),
+        (np.array([[1.0, 2.0]]), "must be integers"),
+        (np.array([True, False]), "must be integers"),
+        (np.array([3, 20]), r"token id 20 out of range \[0, 20\)"),
+        (np.array([[3, 4], [25, 0]]), r"token id 25 out of range"),
+        (np.array([2**63], dtype=np.uint64), r"token id 9223372036854775808 out of range"),
+        (np.array([1, 10**20], dtype=object), r"token id 100000000000000000000 out of range"),
+        (np.zeros((3, 0), dtype=np.int64), "sequence is empty"),
+        (np.zeros(0, dtype=np.int64), "sequence is empty"),
+        (np.zeros((2, 17), dtype=np.int64), "sequence length 17 exceeds max_seq_len 16"),
+    ], ids=["negative", "negative-batch", "float", "float-batch", "bool", "vocab",
+            "vocab-batch", "uint64", "object-huge", "batch-of-empty", "empty", "too-long"])
+    def test_refused(self, fn, ids, message):
+        config, weights = make_model(vocab_size=20, max_seq_len=16)
+        with pytest.raises(ValidationError, match=message):
+            fn(config, weights, ids)
+
 
 class TestEncoderLayer:
     def test_planted_identity_is_exact_passthrough(self):

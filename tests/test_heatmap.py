@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from asc.errors import ValidationError
-from asc.heatmap import to_pixels, write_pgm, write_pixel_csv
+from asc.heatmap import to_pixels, write_pgm
 
 
 class TestToPixels:
@@ -50,11 +50,3 @@ class TestWritePgm:
         lines = path.read_text().splitlines()
         assert lines[3] == "255 0"
         assert lines[4] == "128 255"
-
-
-class TestWritePixelCsv:
-    def test_grid(self, tmp_path):
-        values = np.array([[1.0, 0.0], [-1.0, 1.0]])
-        path = tmp_path / "m.csv"
-        write_pixel_csv(values, path)
-        assert path.read_text().splitlines() == ["255,128", "0,255"]

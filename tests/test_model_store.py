@@ -19,7 +19,7 @@ from asc.model import (
     tensor_shapes,
     validate_weights,
 )
-from conftest import make_model
+from conftest import header_paths, make_model, other_typed
 
 
 def read_header(path):
@@ -344,23 +344,6 @@ class TestHeaderConsistency:
     def test_oversized_hidden_dim(self, tmp_path, capsys):
         assert_random_prune_refuses(tmp_path, capsys, {("config", "hidden_dim"): 10**20,
                                                        ("config", "num_heads"): 1})
-
-
-def header_paths(node, prefix=()):
-    """Key path of every value in a JSON document, containers included."""
-    children = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ())
-    for key, child in children:
-        yield prefix + (key,)
-        yield from header_paths(child, prefix + (key,))
-
-
-def other_typed(value):
-    """JSON values of a different type than `value` (int <-> bool/float/str/list, ...)."""
-    candidates = [True, False, 0, 8, 2.5, "1", "f32", [1], [], {}, None]
-    if type(value) is int:
-        candidates += [float(value), str(value), [value], bool(value)]
-    return [c for c in candidates if type(c) is not type(value)]
 
 
 class TestLoaderTotality:

@@ -18,7 +18,7 @@ from asc.planner import (
     write_plan,
 )
 from asc.similarity import SimilarityMatrix
-from conftest import make_model
+from conftest import header_paths, make_model, other_typed
 from oracles import replay_oracle
 
 
@@ -280,3 +280,54 @@ class TestStrictPlanFields:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+class TestLoadPlanTotality:
+    """Truncations, byte flips and field type swaps of a valid plan file end
+    in FormatError or ValidationError, never in another exception."""
+
+    @pytest.fixture(scope="class", params=["asc", "random"])
+    def valid(self, request, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("totality")
+        original = (plan(HAND_MATRIX, 0.9, matrix_fingerprint="deadbeef")
+                    if request.param == "asc" else plan_random(6, 3, seed=13))
+        write_plan(original, directory / "valid.json")
+        return original, (directory / "valid.json").read_bytes(), directory / "case.json"
+
+    def test_every_truncation_refused_or_unchanged(self, valid):
+        original, blob, path = valid
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            try:
+                loaded = load_plan(path)
+            except (FormatError, ValidationError):
+                continue
+            assert loaded == original  # only the final newline was cut
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(data=st.data())
+    def test_single_byte_flip(self, valid, data):
+        _, blob, path = valid
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        flip = data.draw(st.integers(1, 255))
+        path.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        try:
+            load_plan(path)
+        except (FormatError, ValidationError):
+            pass  # a flip inside a number or the fingerprint may leave a valid plan
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(data=st.data())
+    def test_field_type_swap(self, valid, data):
+        _, blob, path = valid
+        payload = json.loads(blob)
+        keys = data.draw(st.sampled_from(list(header_paths(payload))))
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = data.draw(st.sampled_from(other_typed(target[keys[-1]])))
+        path.write_text(json.dumps(payload))
+        try:
+            load_plan(path)
+        except (FormatError, ValidationError):
+            pass  # a null fingerprint or seed, or an integer 0 threshold, is valid

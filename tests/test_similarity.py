@@ -328,3 +328,64 @@ class TestMatrixCsv:
         path.write_text("")
         with pytest.raises(FormatError, match=":1"):
             load_matrix_csv(path)
+
+
+# Text that is not a count, or not an ASCII decimal in [-1, 1], in every field
+OTHER_FIELDS = ["", "x", "true", "null", "[1]", "2.5", "-1", "1e3", "nan", "inf", "0x10",
+                "1_0", " 1", "\u0661", "9" * 30]
+
+
+class TestMatrixCsvTotality:
+    """Truncations, byte flips and field swaps of a valid matrix CSV end in
+    FormatError or ValidationError, never in another exception."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("totality")
+        write_matrix_csv(TestMatrixCsv().make_matrix(size=3, tokens=7), directory / "valid.csv")
+        return (directory / "valid.csv").read_bytes(), directory / "case.csv"
+
+    def test_every_truncation_refused_or_unchanged(self, valid):
+        blob, path = valid
+        path.write_bytes(blob)
+        full = load_matrix_csv(path)
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            try:
+                loaded = load_matrix_csv(path)
+            except (FormatError, ValidationError):
+                continue
+            # only a cut inside the final "1.0" or of the last newline still loads
+            assert loaded.values.tobytes() == full.values.tobytes()
+            assert loaded.token_count == full.token_count
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(data=st.data())
+    def test_single_byte_flip(self, valid, data):
+        blob, path = valid
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        flip = data.draw(st.integers(1, 255))
+        path.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        try:
+            load_matrix_csv(path)
+        except (FormatError, ValidationError):
+            pass  # a flip inside a value's digits may leave a valid matrix
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(data=st.data())
+    def test_field_swap(self, valid, data):
+        blob, path = valid
+        header, *lines = blob.decode("ascii").splitlines()
+        counts = header.rsplit(" ", 2)[1:]  # ["layers=3", "tokens=7"]
+        fields = [count.split("=")[1] for count in counts] + [
+            value for line in lines for value in line.split(",")]
+        k = data.draw(st.integers(0, len(fields) - 1))
+        fields[k] = data.draw(st.sampled_from(OTHER_FIELDS))
+        rows = [fields[2 + 3 * r: 5 + 3 * r] for r in range(3)]
+        path.write_text(f"# asc-sim v1 layers={fields[0]} tokens={fields[1]}\n"
+                        + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        try:
+            load_matrix_csv(path)
+        except (FormatError, ValidationError):
+            return
+        assert k == 1 and fields[1].isascii() and fields[1].isdigit()
