@@ -5,6 +5,8 @@ digits, separated by ASCII whitespace; lines starting with ``#`` and blank
 lines are ignored.
 """
 
+import itertools
+import os
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .fileio import atomic_write, read_text
+from .tensor_ops import single_threaded_blas
 
 # Token rows per forward batch: bounds the memory that one batch's
 # activations take, however large the dataset.
@@ -22,6 +25,8 @@ MAX_BATCH_ROWS = 1024
 # Ids are separated by ASCII whitespace only (`string.whitespace`); str.split()
 # would also split on U+00A0, U+3000 and other non-ASCII spaces.
 _ASCII_SPACE_RUN = re.compile(f"[{re.escape(string.whitespace)}]+")
+
+_BOOL_TYPES = {bool, np.bool_}
 
 
 @dataclass
@@ -40,17 +45,27 @@ class TokenDataset:
     def map_shards(self, fn, workers: int) -> list:
         """`fn(shard)` for each round-robin shard, in shard order.
 
-        There are `workers` shards, or one per sequence if there are fewer
-        sequences. Shards run on a thread pool, or inline when there is one.
+        There are `workers` shards, or fewer: at most one per sequence and
+        one per usable core. Shards run on a thread pool with BLAS pinned to
+        one thread per worker, or inline, with BLAS untouched, when there is
+        one shard.
         """
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        workers = min(workers, max(1, len(self.sequences)))
+        workers = max(1, min(workers, len(self.sequences), usable_cores()))
         shards = [self.sequences[w::workers] for w in range(workers)]
         if workers == 1:
             return [fn(shards[0])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, shards))
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def validate_sequence(config, tokens) -> np.ndarray:
@@ -79,10 +94,21 @@ def validate_sequence(config, tokens) -> np.ndarray:
         if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
                    for t in ids.flat):
             raise ValidationError("token ids must be integers")
+    elif not isinstance(tokens, np.ndarray) and _holds_bool(tokens, ids.ndim):
+        # numpy stores bools mixed with ints as ints
+        raise ValidationError("token ids must be integers")
     bad = (ids < 0) | (ids >= config.vocab_size)
     if bad.any():
         raise ValidationError(f"token id {ids[bad][0]} out of range [0, {config.vocab_size})")
     return ids.astype(np.int64, copy=False)
+
+
+def _holds_bool(tokens, ndim: int) -> bool:
+    """Whether nested sequences `ndim` deep hold a bool anywhere."""
+    items = tokens
+    for _ in range(ndim - 1):
+        items = itertools.chain.from_iterable(items)
+    return not _BOOL_TYPES.isdisjoint(map(type, items))
 
 
 def length_batches(sequences, config, *more_configs) -> list:

@@ -7,6 +7,7 @@ mirrored from the upper triangle and the diagonal forced to exactly 1.0.
 """
 
 import re
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +141,12 @@ def write_matrix_csv(matrix: SimilarityMatrix, path):
 
 
 def load_matrix_csv(path) -> SimilarityMatrix:
-    lines = read_text(path).splitlines()
-    if not lines:
+    text = read_text(path)
+    if not text:
         raise FormatError(f"{path}:1: empty matrix file")
+    # "\n" and ASCII whitespace only: splitlines() and strip() also act on
+    # U+2028, U+00A0 and other non-ASCII separators
+    lines = text.split("\n")
     match = CSV_HEADER_RE.match(lines[0])
     if not match:
         raise FormatError(f"{path}:1: expected '# asc-sim v1 layers=<n> tokens=<n>' header")
@@ -152,7 +156,7 @@ def load_matrix_csv(path) -> SimilarityMatrix:
         raise FormatError(f"{path}:1: header count out of range ({exc})") from exc
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip(string.whitespace):
             continue
         parts = line.split(",")
         if len(parts) != size:

@@ -5,6 +5,13 @@ products, norms, row statistics) runs in float64 so that averages over
 large token counts do not drift.
 """
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ShapeError
@@ -83,3 +90,57 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     unit = x64 / norms[..., None]
     unit[dead] = 0.0
     return unit
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when numpy links another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            # the path numpy loaded, so this is the same library, not a copy
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = None
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block with BLAS on one thread, then restore the previous count.
+
+    For thread pools whose workers each call BLAS: BLAS's own threads would
+    compete with the workers for the same cores. The count is process-wide,
+    so overlapping blocks (from several threads) share one pin, and the
+    count read before the first is restored after the last. Does nothing
+    when numpy's BLAS is not the bundled OpenBLAS.
+    """
+    global _pin_depth, _pin_restore
+    handle = _openblas_threads()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)

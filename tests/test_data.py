@@ -114,7 +114,8 @@ class TestValidateSequence:
                 validate_sequence(config, tokens)
             assert str(exc.value) == expected
 
-    @pytest.mark.parametrize("tokens", [[1.0, 2.0], [True], ["1"], [None, 1]])
+    @pytest.mark.parametrize("tokens", [[1.0, 2.0], [True], ["1"], [None, 1], [True, 1],
+                                        [[1, 2], [3, False]], [np.array([1, 2]), [True, 0]]])
     def test_non_integer_ids_rejected(self, tiny_model, tokens):
         config, _ = tiny_model
         with pytest.raises(ValidationError, match="must be integers"):

@@ -1,9 +1,13 @@
+import ctypes
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import data, synth
+from asc import data, synth, tensor_ops
 from asc.data import TokenDataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import forward_hidden_states
@@ -157,7 +161,8 @@ class TestAnalyze:
         for k in (1, 4, 5, 6):
             assert matrix.values[k - 1, k] < 0.95
 
-    def test_workers_deterministic(self):
+    def test_workers_deterministic(self, monkeypatch):
+        monkeypatch.setattr(data, "usable_cores", lambda: 4)
         config, weights = synth.gen_model(num_layers=4, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=25,
                                           identity_layers=[3], seed=7, max_seq_len=12)
@@ -168,15 +173,13 @@ class TestAnalyze:
         npt.assert_allclose(single.values, multi.values, atol=1e-9)
 
     def test_more_workers_than_sequences(self, monkeypatch):
-        """The pool is capped at one worker per sequence; shards and their
-        merge order are those of workers == len(sequences)."""
+        """The pool has min(workers, sequences, cores) workers; its shards and
+        their merge order are those of workers == pool size."""
         sizes = []
 
         class InlineExecutor:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
-                if max_workers > 100:
-                    raise AssertionError(f"asked for a pool of {max_workers} workers")
 
             def __enter__(self):
                 return self
@@ -190,11 +193,16 @@ class TestAnalyze:
         monkeypatch.setattr(data, "ThreadPoolExecutor", InlineExecutor)
         config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(5, 2, 8, config.vocab_size, seed=9)
-        capped = analyze(config, weights, dataset, workers=10**6)
-        exact = analyze(config, weights, dataset, workers=5)
-        assert sizes == [5, 5]
-        npt.assert_array_equal(capped.values, exact.values)
-        assert capped.token_count == exact.token_count
+        single = analyze(config, weights, dataset, workers=1)
+        for workers, cores, pool in [(10**6, 64, 5), (10**6, 3, 3), (4, 64, 4)]:
+            monkeypatch.setattr(data, "usable_cores", lambda cores=cores: cores)
+            sizes.clear()
+            capped = analyze(config, weights, dataset, workers=workers)
+            exact = analyze(config, weights, dataset, workers=pool)
+            assert sizes == [pool, pool]
+            npt.assert_array_equal(capped.values, exact.values)
+            assert capped.token_count == exact.token_count
+            npt.assert_allclose(capped.values, single.values, atol=1e-9)
 
     def test_empty_dataset_rejected(self, tiny_model):
         config, weights = tiny_model
@@ -232,6 +240,117 @@ class TestAnalyze:
             states_scaled[scaled_layer] = states_scaled[scaled_layer] * np.float32(2.5)
             scaled.add_states(states_scaled)
         npt.assert_allclose(plain.finalize().values, scaled.finalize().values, atol=1e-6)
+
+
+class FakeBlas:
+    """Stands in for OpenBLAS's thread-count functions; records every call."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def get(self):
+        self.calls.append("get")
+        return self.threads
+
+    def set(self, threads):
+        self.calls.append(("set", threads))
+        self.threads = threads
+
+
+class TestBlasPin:
+    """A pool of 2 or more workers runs with BLAS on one thread; the count
+    read before it starts is restored once it has joined."""
+
+    @pytest.fixture
+    def fake_blas(self, monkeypatch):
+        fake = FakeBlas(threads=3)
+        monkeypatch.setattr(tensor_ops, "_openblas_threads", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(data, "usable_cores", lambda: 4)
+        return fake
+
+    def test_pool_pins_one_thread_then_restores(self, fake_blas, tiny_model):
+        config, weights = tiny_model
+        dataset = synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1)
+        seen = []
+        dataset.map_shards(lambda shard: seen.append(fake_blas.threads), workers=2)
+        assert seen == [1, 1]
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        analyze(config, weights, dataset, workers=3)
+        assert fake_blas.calls[3:] == ["get", ("set", 1), ("set", 3)]
+        assert fake_blas.threads == 3
+
+    def test_restored_when_a_shard_raises(self, fake_blas):
+        def fail(shard):
+            raise RuntimeError("shard failed")
+
+        with pytest.raises(RuntimeError, match="shard failed"):
+            TokenDataset([[1], [2]]).map_shards(fail, workers=2)
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+
+    def test_one_worker_leaves_blas_alone(self, fake_blas, tiny_model):
+        config, weights = tiny_model
+        analyze(config, weights, synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1),
+                workers=1)
+        TokenDataset([[1]]).map_shards(len, workers=8)  # one sequence, one shard
+        assert fake_blas.calls == []
+
+    def test_overlapping_pools_share_one_pin(self, fake_blas):
+        """Two pools up at once (from two threads) read the count once and
+        restore it after the last one joins."""
+        barrier = threading.Barrier(4, timeout=10)
+        seen = []
+
+        def shard(_):
+            seen.append(fake_blas.threads)
+            barrier.wait()
+
+        callers = [threading.Thread(target=TokenDataset([[1], [2]]).map_shards,
+                                    args=(shard, 2)) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=10)
+            assert not caller.is_alive()
+        assert seen == [1, 1, 1, 1]
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    def test_without_openblas_blas_is_left_alone(self, monkeypatch, missing):
+        if missing == "library":
+            monkeypatch.setattr(tensor_ops, "glob", SimpleNamespace(glob=lambda pattern: []))
+        else:
+            monkeypatch.setattr(tensor_ops, "glob", SimpleNamespace(
+                glob=lambda pattern: ["libscipy_openblas64_.so"]))
+            monkeypatch.setattr(tensor_ops, "ctypes", SimpleNamespace(
+                CDLL=lambda path: SimpleNamespace(), c_int=ctypes.c_int))
+        find = tensor_ops._openblas_threads.__wrapped__  # uncached lookup
+        assert find() is None
+        monkeypatch.setattr(tensor_ops, "_openblas_threads", find)
+        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
+        dataset = synth.gen_dataset(9, 2, 12, config.vocab_size, seed=4)
+        npt.assert_allclose(analyze(config, weights, dataset, workers=2).values,
+                            analyze(config, weights, dataset, workers=1).values, atol=1e-9)
+
+    def test_real_openblas_pinned_in_pool_and_restored(self, monkeypatch, tiny_model):
+        handle = tensor_ops._openblas_threads()
+        if handle is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        get, set_ = handle
+        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        config, weights = tiny_model
+        dataset = synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1)
+        original = get()
+        set_(2)
+        try:
+            seen = []
+            dataset.map_shards(lambda shard: seen.append(get()), workers=2)
+            assert seen == [1, 1]
+            analyze(config, weights, dataset, workers=2)
+            assert get() == 2
+        finally:
+            set_(original)
 
 
 class TestMatrixValidation:
@@ -321,6 +440,16 @@ class TestMatrixCsv:
         path = tmp_path / "sim.csv"
         path.write_text("# asc-sim v1 layers=2 tokens=5\n1.0,0.5\n0.4,1.0\n")
         with pytest.raises(FormatError, match="symmetric"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "1.0,0.5\u20280.5,1.0\n",  # U+2028 does not end a row
+        "1.0,0.5\n\u00a0\n0.5,1.0\n",  # a U+00A0 line is not blank
+    ])
+    def test_rows_split_on_ascii_newline_only(self, tmp_path, text):
+        path = tmp_path / "sim.csv"
+        path.write_text("# asc-sim v1 layers=2 tokens=5\n" + text, encoding="utf-8")
+        with pytest.raises(FormatError, match=":[23]: expected 2 values"):
             load_matrix_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
