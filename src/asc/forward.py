@@ -93,5 +93,12 @@ def forward_hidden_states(config, weights, tokens) -> list:
 
 
 def final_hidden_state(config, weights, tokens) -> np.ndarray:
-    """Output of the last surviving layer (the embedding for 0-layer models)."""
-    return forward_hidden_states(config, weights, tokens)[-1]
+    """Output of the last surviving layer (the embedding for 0-layer models).
+
+    Equal, bit for bit, to `forward_hidden_states(...)[-1]`, but holds one
+    running state instead of all L+1.
+    """
+    state = embed(config, weights, tokens)
+    for k in range(config.num_layers):
+        state = encoder_layer(config, weights, k, state)
+    return state

@@ -49,8 +49,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.layer_ids is None:
             self.layer_ids = tuple(range(1, self.num_layers + 1))
+        elif not isinstance(self.layer_ids, (tuple, list)) or any(
+                type(i) is not int for i in self.layer_ids):
+            raise ValidationError(f"config: layer_ids must be integers, got {self.layer_ids!r}")
         else:
-            self.layer_ids = tuple(int(i) for i in self.layer_ids)
+            self.layer_ids = tuple(self.layer_ids)
 
     def validate(self):
         for name in ("vocab_size", "hidden_dim", "num_heads", "ffn_dim", "max_seq_len"):

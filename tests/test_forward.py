@@ -229,13 +229,14 @@ class TestTaps:
         for a, b in zip(first, second):
             npt.assert_array_equal(a, b)
 
-    def test_final_state_is_last_layer(self, tiny_model):
-        config, weights = tiny_model
-        tokens = [1, 2]
-        npt.assert_array_equal(
-            final_hidden_state(config, weights, tokens),
-            forward_hidden_states(config, weights, tokens)[-1],
-        )
+    def test_final_state_is_last_layer(self):
+        for norm_mode in ("standard", "none"):
+            config, weights = make_model(num_layers=3, norm_mode=norm_mode, seed=5)
+            for tokens in ([1, 2], np.array([[1, 2, 3], [4, 5, 6]])):
+                final = final_hidden_state(config, weights, tokens)
+                last = forward_hidden_states(config, weights, tokens)[-1]
+                assert final.shape == last.shape
+                npt.assert_array_equal(final.view(np.uint32), last.view(np.uint32))
 
     def test_zero_layer_final_state_is_embedding(self):
         config, weights = make_model(num_layers=0)

@@ -77,6 +77,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="increasing"):
             config.validate()
 
+    @pytest.mark.parametrize("layer_ids", [(1.9, 2.2), (1.0, 2.0), (True, 2), (1, np.int64(2)),
+                                           "12", 12])
+    def test_layer_ids_must_be_ints(self, layer_ids):
+        with pytest.raises(ValidationError, match="layer_ids must be integers"):
+            ModelConfig(vocab_size=10, num_layers=2, hidden_dim=4, num_heads=2,
+                        ffn_dim=8, max_seq_len=4, layer_ids=layer_ids)
+
+    def test_layer_ids_list_kept_as_tuple(self):
+        config = ModelConfig(vocab_size=10, num_layers=2, hidden_dim=4, num_heads=2,
+                             ffn_dim=8, max_seq_len=4, layer_ids=[2, 5])
+        assert config.layer_ids == (2, 5)
+
     def test_zero_layers_allowed(self):
         config = ModelConfig(vocab_size=10, num_layers=0, hidden_dim=4, num_heads=2,
                              ffn_dim=8, max_seq_len=4)

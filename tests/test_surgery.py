@@ -1,12 +1,16 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from asc import synth
-from asc.data import TokenDataset
+from asc import forward, surgery, synth
+from asc.data import TokenDataset, length_batches
 from asc.errors import ValidationError
 from asc.forward import final_hidden_state, forward_hidden_states
-from asc.model import load_model, save_model
+from asc.model import ModelWeights, load_model, save_model
 from asc.planner import PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
 from asc.tensor_ops import unit_rows
@@ -188,3 +192,195 @@ class TestCompareModels:
         from asc.data import TokenDataset
         with pytest.raises(ValidationError, match="empty"):
             compare_models(config, weights, config, weights, TokenDataset([]))
+
+
+PLANTED_LAYERS = 8
+PASSTHROUGHS = (2, 3, 6)
+
+
+@functools.cache
+def planted_model(norm_mode="none"):
+    """8 layers with passthroughs 2, 3 and 6 (exact only with norm_mode="none")."""
+    config, weights = synth.gen_model(num_layers=PLANTED_LAYERS, hidden_dim=16, num_heads=2,
+                                      ffn_dim=32, vocab_size=30, identity_layers=PASSTHROUGHS,
+                                      seed=60, max_seq_len=12)
+    return replace(config, norm_mode=norm_mode), weights
+
+
+def mixed_lengths(seed=61):
+    rng = np.random.default_rng(seed)
+    return TokenDataset([rng.integers(0, 30, size=n).tolist() for n in (5, 9, 1, 5, 12, 7, 9)])
+
+
+def one_batch():
+    rng = np.random.default_rng(62)
+    return TokenDataset([rng.integers(0, 30, size=6).tolist() for _ in range(3)])
+
+
+def assert_exact(config_a, weights_a, config_b, weights_b, dataset):
+    """compare_models reads exactly what one-sequence-at-a-time full forwards give."""
+    report = compare_models(config_a, weights_a, config_b, weights_b, dataset)
+    assert (report.mean_cosine, report.min_cosine, report.max_abs_diff) == \
+        compare_per_sequence(config_a, weights_a, config_b, weights_b, dataset)
+    return report
+
+
+def with_tensor(weights, name, edit):
+    """A copy of `weights` whose tensor `name` is replaced by edit(copy of it)."""
+    tensors = dict(weights.tensors)
+    tensors[name] = tensors[name].copy()
+    edit(tensors[name])
+    return ModelWeights(tensors)
+
+
+@pytest.fixture
+def layer_runs(monkeypatch):
+    """Slots run per model: A's layers run inside forward_hidden_states, B's in surgery."""
+    runs = {"a": [], "b": []}
+
+    def counting(model, real):
+        def layer(config, weights, k, x):
+            runs[model].append(k)
+            return real(config, weights, k, x)
+        return layer
+
+    monkeypatch.setattr(forward, "encoder_layer", counting("a", forward.encoder_layer))
+    monkeypatch.setattr(surgery, "encoder_layer", counting("b", surgery.encoder_layer))
+    return runs
+
+
+class TestCompareReuse:
+    """Model B takes model A's states wherever that is exact, and only there."""
+
+    def test_reloaded_pruned_model(self, tmp_path):
+        config, weights = planted_model()
+        path = tmp_path / "pruned.ascm"
+        save_model(*apply_plan(config, weights, asc_plan((2, 3, 5), ((1, 5),))), path)
+        assert_exact(config, weights, *load_model(path), mixed_lengths())
+
+    def test_shared_arrays_from_apply_plan(self):
+        config, weights = planted_model()
+        for redundant in [(2, 3, 6), (4,), (1, 8), (2, 3, 4, 5, 6, 7, 8)]:
+            pruned = apply_plan(config, weights, asc_plan(redundant, ()))
+            assert_exact(config, weights, *pruned, mixed_lengths())
+
+    @pytest.mark.parametrize("norm_mode", ["none", "standard"])
+    def test_random_plans(self, norm_mode):
+        config, weights = planted_model(norm_mode)
+        for trial in range(6):
+            the_plan = plan_random(PLANTED_LAYERS, trial + 1, seed=trial)
+            assert_exact(config, weights, *apply_plan(config, weights, the_plan),
+                         mixed_lengths(trial))
+
+    def test_model_against_itself(self, layer_runs):
+        config, weights = planted_model()
+        report = assert_exact(config, weights, config, weights, one_batch())
+        assert (report.mean_cosine, report.min_cosine, report.max_abs_diff) == (1.0, 1.0, 0.0)
+        assert layer_runs["b"] == []
+
+    def test_pruned_reference_against_further_pruned(self):
+        config, weights = planted_model()
+        first = apply_plan(config, weights, asc_plan((2, 5), ((1, 2), (4, 5))))
+        assert first[0].layer_ids == (1, 3, 4, 6, 7, 8)
+        # encoder layers 3 and 6 of the first model are original layers 4 and 7
+        second = apply_plan(*first, asc_plan((3, 5), ((2, 3), (4, 5))))
+        assert second[0].layer_ids == (1, 3, 6, 8)
+        assert_exact(*first, *second, mixed_lengths())
+        assert_exact(*second, *first, mixed_lengths())
+
+    def test_one_ulp_is_recomputed(self, layer_runs):
+        config, weights = planted_model()
+        # layer 5 (slot 4) mixes; in B every entry of one of its tensors is 1 ulp up
+        nudged = with_tensor(weights, "layer.4.ffn.w1", lambda t: np.nextafter(t, np.inf, out=t))
+        report = assert_exact(config, weights, config, nudged, one_batch())
+        assert report.max_abs_diff > 0.0
+        assert layer_runs["b"] == [4, 5, 6, 7]
+
+    def test_negative_zero_is_recomputed(self, layer_runs):
+        config, weights = planted_model()
+        # passthrough layer 3 (slot 2) has an all-zero value projection
+        assert not weights["layer.2.attn.v.w"].any()
+        flipped = with_tensor(weights, "layer.2.attn.v.w",
+                              lambda t: t.__setitem__((0, 0), np.float32(-0.0)))
+        assert_exact(config, weights, config, flipped, one_batch())
+        assert 2 in layer_runs["b"]
+        assert 0 not in layer_runs["b"] and 1 not in layer_runs["b"]
+
+    @pytest.mark.parametrize("change", ["norm_mode", "num_heads", "embed.token"])
+    def test_other_embedding_or_layer_rule_runs_everything(self, change, layer_runs):
+        config, weights = planted_model()
+        config_b, weights_b = config, weights
+        if change == "norm_mode":
+            config_b = replace(config, norm_mode="standard")
+        elif change == "num_heads":
+            config_b = replace(config, num_heads=4)
+        else:
+            weights_b = with_tensor(weights, "embed.token", lambda t: np.nextafter(t, np.inf, out=t))
+        dataset = mixed_lengths()
+        assert_exact(config, weights, config_b, weights_b, dataset)
+        batches = len(length_batches(dataset.sequences, config))
+        assert layer_runs["b"] == list(range(PLANTED_LAYERS)) * batches
+
+    def test_layer_ids_that_a_lacks(self, layer_runs):
+        config, weights = planted_model()
+        # same tensors, but as if they were layers 11..18 of some other model
+        renamed = replace(config, layer_ids=tuple(range(11, 19)))
+        report = assert_exact(config, weights, renamed, weights, one_batch())
+        assert report.max_abs_diff == 0.0
+        assert layer_runs["b"] == list(range(PLANTED_LAYERS))
+
+    def test_layer_ids_shifted_onto_other_tensors(self):
+        config, weights = planted_model()
+        # B's slot s claims A's layer s + 2, whose tensors differ
+        shifted = replace(config, layer_ids=tuple(range(2, 10)))
+        assert_exact(config, weights, shifted, weights, mixed_lengths())
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(norm_mode=st.sampled_from(["none", "standard"]),
+           first=st.sets(st.integers(1, PLANTED_LAYERS), max_size=3),
+           second=st.sets(st.integers(1, PLANTED_LAYERS), max_size=PLANTED_LAYERS),
+           swap=st.booleans())
+    def test_random_plan_pairs_are_exact(self, norm_mode, first, second, swap):
+        config, weights = planted_model(norm_mode)
+        model_a = apply_plan(config, weights, asc_plan(sorted(first), ()))
+        kept = model_a[0].num_layers
+        model_b = apply_plan(*model_a, asc_plan(sorted(i for i in second if i <= kept), ()))
+        if swap:
+            model_a, model_b = model_b, model_a
+        assert_exact(*model_a, *model_b, mixed_lengths())
+
+
+class TestCompareLayerCount:
+    """Layer evaluations per batch: A runs all of its layers once, B only what differs."""
+
+    def test_passthrough_pruned_self_runs_only_a(self, tmp_path, layer_runs):
+        config, weights = planted_model()
+        path = tmp_path / "pruned.ascm"
+        save_model(*apply_plan(config, weights, asc_plan(PASSTHROUGHS, ())), path)
+        report = compare_models(config, weights, *load_model(path), one_batch())
+        assert (report.mean_cosine, report.max_abs_diff) == (1.0, 0.0)
+        assert layer_runs["a"] == list(range(PLANTED_LAYERS))
+        assert layer_runs["b"] == []
+
+    def test_b_resumes_before_first_removed_mixing_layer(self, layer_runs):
+        config, weights = planted_model()
+        # layer 4 mixes: B (ids 1, 2, 3, 5, 6, 7, 8) takes A's state after
+        # layer 3 and runs its last L_B - (4 - 1) = 4 layers itself
+        compare_models(config, weights, *apply_plan(config, weights, asc_plan((4,), ())),
+                       one_batch())
+        assert layer_runs["a"] == list(range(PLANTED_LAYERS))
+        assert layer_runs["b"] == [3, 4, 5, 6]
+
+    def test_random_plans_run_b_from_first_removed_mixing_layer(self, layer_runs):
+        config, weights = planted_model()
+        for trial in range(10):
+            the_plan = plan_random(PLANTED_LAYERS, trial % 6 + 1, seed=100 + trial)
+            pruned_config, _ = pruned = apply_plan(config, weights, the_plan)
+            layer_runs["a"].clear()
+            layer_runs["b"].clear()
+            compare_models(config, weights, *pruned, one_batch())
+            mixing = [i for i in the_plan.redundant_layers if i not in PASSTHROUGHS]
+            first_mixing = min(mixing, default=PLANTED_LAYERS + 1)
+            reused = sum(1 for i in pruned_config.layer_ids if i < first_mixing)
+            assert layer_runs["a"] == list(range(PLANTED_LAYERS))
+            assert layer_runs["b"] == list(range(reused, pruned_config.num_layers))
