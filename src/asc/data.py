@@ -42,6 +42,15 @@ class TokenDataset:
     def __len__(self):
         return len(self.sequences)
 
+    def validate(self):
+        """What the file format holds: non-empty lists of Python ints >= 0."""
+        if not isinstance(self.sequences, list):
+            raise ValidationError(f"dataset: sequences must be a list, got {self.sequences!r}")
+        for n, seq in enumerate(self.sequences):
+            if not (isinstance(seq, list) and seq and all(type(t) is int and t >= 0 for t in seq)):
+                raise ValidationError(
+                    f"dataset: sequence {n} is not a non-empty list of ints >= 0: {seq!r}")
+
     def map_shards(self, fn, workers: int) -> list:
         """`fn(shard)` for each round-robin shard, in shard order.
 
@@ -157,6 +166,8 @@ def load_dataset(path) -> TokenDataset:
 
 
 def save_dataset(dataset: TokenDataset, path):
+    """Write one line per sequence, after refusing what `load_dataset` would read differently."""
+    dataset.validate()
     with atomic_write(path) as handle:
         for seq in dataset.sequences:
             handle.write(" ".join(str(t) for t in seq))

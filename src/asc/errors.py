@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
 
 
 class AscError(Exception):
@@ -15,3 +15,10 @@ class ShapeError(ValidationError):
 
 class FormatError(AscError):
     """A file (model container, matrix CSV, plan JSON, dataset) is malformed."""
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """`value`, refused unless it is a Python int >= `minimum`; nothing is cast."""
+    if type(value) is not int or value < minimum:
+        raise ValidationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value

@@ -1,7 +1,8 @@
-"""Small file helpers: atomic writes, text reads and content fingerprints."""
+"""Small file helpers: atomic writes, text and JSON reads, content fingerprints."""
 
 import contextlib
 import hashlib
+import json
 import os
 
 from .errors import FormatError
@@ -39,6 +40,23 @@ def read_text(path) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def parse_json_object(data: bytes, path, version: int, what: str) -> dict:
+    """The JSON object in UTF-8 `data`, with `version` exactly the int `version`;
+    anything else raises FormatError naming the document as `what`."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer beyond the interpreter's
+        # digit limit; RecursionError: nesting deeper than the decoder can follow
+        raise FormatError(f"{path}: unparseable {what} ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: {what} is not a JSON object")
+    found = obj.get("version")
+    if type(found) is not int or found != version:
+        raise FormatError(f"{path}: unknown {what} version {found!r}")
+    return obj
 
 
 def sha256_file(path):

@@ -21,8 +21,6 @@ import numpy as np
 from . import tensor_ops
 from .data import validate_sequence
 
-LAYERNORM_EPS = 1e-12
-
 
 def embed(config, weights, tokens) -> np.ndarray:
     """Token + position embedding rows; row-normalized when norm_mode="standard".
@@ -37,8 +35,7 @@ def embed(config, weights, tokens) -> np.ndarray:
     if config.norm_mode == "standard":
         d = config.hidden_dim
         rows = tensor_ops.layernorm(
-            rows, np.ones(d, dtype=np.float32), np.zeros(d, dtype=np.float32), LAYERNORM_EPS
-        )
+            rows, np.ones(d, dtype=np.float32), np.zeros(d, dtype=np.float32))
     return rows
 
 
@@ -66,18 +63,14 @@ def encoder_layer(config, weights, k, x) -> np.ndarray:
     rows = x.reshape(-1, config.hidden_dim)
     y1 = rows + _attention(config, weights, k, x)
     if config.norm_mode == "standard":
-        y1 = tensor_ops.layernorm(
-            y1, weights[f"{prefix}.ln1.g"], weights[f"{prefix}.ln1.b"], LAYERNORM_EPS
-        )
+        y1 = tensor_ops.layernorm(y1, weights[f"{prefix}.ln1.g"], weights[f"{prefix}.ln1.b"])
     hidden = tensor_ops.gelu(
         tensor_ops.matmul(y1, weights[f"{prefix}.ffn.w1"]) + weights[f"{prefix}.ffn.b1"]
     )
     ffn = tensor_ops.matmul(hidden, weights[f"{prefix}.ffn.w2"]) + weights[f"{prefix}.ffn.b2"]
     y = y1 + ffn
     if config.norm_mode == "standard":
-        y = tensor_ops.layernorm(
-            y, weights[f"{prefix}.ln2.g"], weights[f"{prefix}.ln2.b"], LAYERNORM_EPS
-        )
+        y = tensor_ops.layernorm(y, weights[f"{prefix}.ln2.g"], weights[f"{prefix}.ln2.b"])
     return y.reshape(x.shape)
 
 

@@ -13,19 +13,16 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
-from .fileio import atomic_write
+from .errors import FormatError, ValidationError, require_int
+from .fileio import atomic_write, parse_json_object
 
 MAGIC = b"ASCMODL1"
 FORMAT_VERSION = 1
 NORM_MODES = ("standard", "none")
-_INT_CONFIG_FIELDS = ("vocab_size", "num_layers", "hidden_dim", "num_heads", "ffn_dim",
-                      "max_seq_len")
-_CONFIG_FIELDS = _INT_CONFIG_FIELDS + ("norm_mode", "layer_ids")
 
 
 @dataclass
@@ -48,7 +45,9 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.layer_ids is None:
-            self.layer_ids = tuple(range(1, self.num_layers + 1))
+            # a num_layers that is not an int is left for validate() to refuse
+            count = self.num_layers if type(self.num_layers) is int else 0
+            self.layer_ids = tuple(range(1, count + 1))
         elif not isinstance(self.layer_ids, (tuple, list)) or any(
                 type(i) is not int for i in self.layer_ids):
             raise ValidationError(f"config: layer_ids must be integers, got {self.layer_ids!r}")
@@ -56,14 +55,12 @@ class ModelConfig:
             self.layer_ids = tuple(self.layer_ids)
 
     def validate(self):
+        """The one rule for a config, whether built in memory or read from a file."""
         for name in ("vocab_size", "hidden_dim", "num_heads", "ffn_dim", "max_seq_len"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValidationError(f"config: {name} must be a positive int, got {value!r}")
+            require_int(f"config: {name}", getattr(self, name), 1)
         # num_layers may legitimately reach 0: pruning every encoder layer
         # leaves an embedding-only model.
-        if not isinstance(self.num_layers, int) or self.num_layers < 0:
-            raise ValidationError(f"config: num_layers must be >= 0, got {self.num_layers!r}")
+        require_int("config: num_layers", self.num_layers, 0)
         if self.hidden_dim % self.num_heads != 0:
             raise ValidationError(
                 f"config: d mod h != 0 (hidden_dim={self.hidden_dim}, num_heads={self.num_heads})"
@@ -86,21 +83,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """The config a JSON object describes; value rules are left to validate()."""
         if not isinstance(data, dict):
             raise FormatError("config: expected a JSON object")
-        missing = set(_CONFIG_FIELDS) - set(data)
+        names = {f.name for f in fields(cls)}
+        missing = names - set(data)
         if missing:
             raise FormatError(f"config: missing fields {sorted(missing)}")
-        extra = set(data) - set(_CONFIG_FIELDS)
+        extra = set(data) - names
         if extra:
             raise FormatError(f"config: unknown fields {sorted(extra)}")
-        for name in _INT_CONFIG_FIELDS:
-            if type(data[name]) is not int:
-                raise FormatError(f"config: {name} must be an integer, got {data[name]!r}")
-        layer_ids = data["layer_ids"]
-        if not isinstance(layer_ids, list) or any(type(i) is not int for i in layer_ids):
-            raise FormatError(f"config: layer_ids must be a list of integers, got {layer_ids!r}")
-        return cls(**{**data, "layer_ids": tuple(layer_ids)})
+        # a null here would read as the default 1..L
+        if not isinstance(data["layer_ids"], list):
+            raise FormatError(f"config: layer_ids must be a list, got {data['layer_ids']!r}")
+        return cls(**data)
 
 
 @dataclass
@@ -113,6 +109,17 @@ class ModelWeights:
         return self.tensors[name]
 
 
+def layer_shapes(config: ModelConfig) -> dict:
+    """Suffix -> shape of one encoder layer's tensors, in schema order; layer
+    k's tensors are named `layer.{k}.{suffix}`."""
+    d, f = config.hidden_dim, config.ffn_dim
+    shapes = {f"attn.{proj}.{kind}": (d, d) if kind == "w" else (d,)
+              for proj in "qkvo" for kind in "wb"}
+    shapes.update({"ffn.w1": (d, f), "ffn.b1": (f,), "ffn.w2": (f, d), "ffn.b2": (d,),
+                   "ln1.g": (d,), "ln1.b": (d,), "ln2.g": (d,), "ln2.b": (d,)})
+    return shapes
+
+
 def tensor_shapes(config: ModelConfig) -> dict:
     """Canonical tensor name -> shape map for a given config.
 
@@ -120,23 +127,11 @@ def tensor_shapes(config: ModelConfig) -> dict:
     deterministically. This map is the single source of truth for
     validation, serialization, and synthesis.
     """
-    d, f = config.hidden_dim, config.ffn_dim
-    shapes = {
-        "embed.token": (config.vocab_size, d),
-        "embed.pos": (config.max_seq_len, d),
-    }
+    d = config.hidden_dim
+    shapes = {"embed.token": (config.vocab_size, d), "embed.pos": (config.max_seq_len, d)}
+    per_layer = layer_shapes(config)
     for k in range(config.num_layers):
-        prefix = f"layer.{k}"
-        for proj in ("q", "k", "v", "o"):
-            shapes[f"{prefix}.attn.{proj}.w"] = (d, d)
-            shapes[f"{prefix}.attn.{proj}.b"] = (d,)
-        shapes[f"{prefix}.ffn.w1"] = (d, f)
-        shapes[f"{prefix}.ffn.b1"] = (f,)
-        shapes[f"{prefix}.ffn.w2"] = (f, d)
-        shapes[f"{prefix}.ffn.b2"] = (d,)
-        for ln in ("ln1", "ln2"):
-            shapes[f"{prefix}.{ln}.g"] = (d,)
-            shapes[f"{prefix}.{ln}.b"] = (d,)
+        shapes.update((f"layer.{k}.{suffix}", shape) for suffix, shape in per_layer.items())
     return shapes
 
 
@@ -152,6 +147,8 @@ def validate_weights(config: ModelConfig, weights: ModelWeights):
         raise ValidationError(f"weights: unexpected tensors {extra}")
     for name, shape in expected.items():
         tensor = weights.tensors[name]
+        if not isinstance(tensor, np.ndarray):
+            raise ValidationError(f"weights: tensor {name!r} is not an array: {tensor!r}")
         if tuple(tensor.shape) != shape:
             raise ValidationError(
                 f"weights: tensor {name!r} has shape {tuple(tensor.shape)}, expected {shape}"
@@ -248,22 +245,12 @@ def _read_container(handle, path):
     header_bytes = handle.read(header_len) if header_start + header_len <= file_size else b""
     if header_len == 0 or len(header_bytes) < header_len:
         raise FormatError(f"{path}: truncated header (claims {header_len} bytes)")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        # ValueError: not UTF-8, not JSON, or an integer beyond the interpreter's
-        # digit limit; RecursionError: nesting deeper than the decoder can follow
-        raise FormatError(f"{path}: unparseable header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    version = header.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unknown format version {version!r}")
+    header = parse_json_object(header_bytes, path, FORMAT_VERSION, "header")
     if set(header) != {"version", "config", "tensors"}:
         raise FormatError(f"{path}: header fields must be version/config/tensors, got {sorted(header)}")
 
-    config = ModelConfig.from_dict(header["config"])
     try:
+        config = ModelConfig.from_dict(header["config"])
         config.validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -10,30 +10,14 @@ pruned set can be non-contiguous.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import FormatError, ValidationError
-from .fileio import atomic_write, read_text
+from .errors import FormatError, ValidationError, require_int
+from .fileio import atomic_write, parse_json_object
 
 PLAN_VERSION = 1
 MODE_ASC = "asc"
 MODE_RANDOM = "random"
-
-
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(i) is int for i in value)
-
-
-# (plan JSON field, type check, expected kind); bools and floats never pass
-# for integers, and an absent optional field reads as null
-_FIELD_TYPES = (
-    ("threshold", lambda v: type(v) in (int, float), "a number"),
-    ("redundant_layers", _int_list, "a list of integers"),
-    ("anchors", lambda v: isinstance(v, list) and all(_int_list(a) and len(a) == 2 for a in v),
-     "a list of [i, j] integer pairs"),
-    ("matrix_fingerprint", lambda v: v is None or isinstance(v, str), "a string or null"),
-    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
-)
 
 
 @dataclass
@@ -48,6 +32,23 @@ class PrunePlan:
     seed: int = None
 
     def validate(self):
+        """The one rule for a plan, in memory or read from JSON (lists for tuples)."""
+
+        def ints(value):
+            return isinstance(value, (list, tuple)) and all(type(i) is int for i in value)
+
+        for name, ok, kind in (
+            ("threshold", type(self.threshold) in (int, float), "a number"),
+            ("redundant_layers", ints(self.redundant_layers), "a list of integers"),
+            ("anchors", isinstance(self.anchors, (list, tuple))
+             and all(ints(a) and len(a) == 2 for a in self.anchors),
+             "a list of [i, j] integer pairs"),
+            ("matrix_fingerprint", isinstance(self.matrix_fingerprint, (str, type(None))),
+             "a string or null"),
+            ("seed", self.seed is None or type(self.seed) is int, "an integer or null"),
+        ):
+            if not ok:
+                raise ValidationError(f"plan: {name} must be {kind}, got {getattr(self, name)!r}")
         if self.mode not in (MODE_ASC, MODE_RANDOM):
             raise ValidationError(f"plan: unknown mode {self.mode!r}")
         layers = tuple(self.redundant_layers)
@@ -63,6 +64,8 @@ class PrunePlan:
             return
         if not 0 < self.threshold <= 1:
             raise ValidationError(f"plan: threshold must be in (0, 1], got {self.threshold}")
+        if self.seed is not None:  # write_plan records a seed for random plans only
+            raise ValidationError("plan: asc plans carry no seed")
         covered = set()
         previous_j = None
         for anchor in self.anchors:
@@ -81,8 +84,6 @@ class PrunePlan:
 
 def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
     """Greedy farthest-j scan over a validated similarity matrix."""
-    if not 0 < threshold <= 1:
-        raise ValidationError(f"threshold must be in (0, 1], got {threshold}")
     sim.validate()
     values = sim.values
     last = sim.size - 1
@@ -110,9 +111,9 @@ def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
 
 def plan_random(num_layers: int, count: int, seed: int) -> PrunePlan:
     """Uniform random count-subset of encoder layers 1..L (the ablation baseline)."""
-    if num_layers < 0:
-        raise ValidationError(f"num_layers must be >= 0, got {num_layers}")
-    if not 0 <= count <= num_layers:
+    require_int("num_layers", num_layers, 0)
+    require_int("count", count, 0)
+    if count > num_layers:
         raise ValidationError(f"count must be in [0, {num_layers}], got {count}")
     rng = random.Random(seed)
     chosen = sorted(rng.sample(range(1, num_layers + 1), count))
@@ -145,39 +146,25 @@ def write_plan(plan_obj: PrunePlan, path):
 
 
 def load_plan(path) -> PrunePlan:
-    try:
-        payload = json.loads(read_text(path))
-    except (ValueError, RecursionError) as exc:
-        # ValueError: not JSON, or an integer beyond the interpreter's digit
-        # limit; RecursionError: nesting deeper than the decoder can follow
-        raise FormatError(f"{path}: unparseable plan JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: plan must be a JSON object")
-    version = payload.get("version")
-    if type(version) is not int or version != PLAN_VERSION:
-        raise FormatError(f"{path}: unknown plan version {version!r}")
+    with open(path, "rb") as handle:
+        payload = parse_json_object(handle.read(), path, PLAN_VERSION, "plan")
     required = {"version", "threshold", "redundant_layers", "anchors", "matrix_fingerprint", "mode"}
     missing = required - set(payload)
     if missing:
         raise FormatError(f"{path}: missing plan fields {sorted(missing)}")
-    for name, ok, kind in _FIELD_TYPES:
-        value = payload.get(name)
-        if not ok(value):
-            raise FormatError(f"{path}: plan field {name} must be {kind}, got {value!r}")
-    try:
-        threshold = float(payload["threshold"])
-    except OverflowError as exc:
-        raise FormatError(f"{path}: plan threshold out of range ({exc})") from exc
     result = PrunePlan(
-        threshold=threshold,
-        redundant_layers=tuple(payload["redundant_layers"]),
-        anchors=tuple(tuple(a) for a in payload["anchors"]),
+        threshold=payload["threshold"],
+        redundant_layers=payload["redundant_layers"],
+        anchors=payload["anchors"],
         matrix_fingerprint=payload["matrix_fingerprint"],
         mode=payload["mode"],
-        seed=payload.get("seed"),
+        seed=payload.get("seed"),  # absent reads as null
     )
     try:
         result.validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return result
+    # a valid threshold lies in [0, 1], so float() cannot overflow
+    return replace(result, threshold=float(result.threshold),
+                   redundant_layers=tuple(result.redundant_layers),
+                   anchors=tuple(tuple(a) for a in result.anchors))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import length_batches
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, require_int
 from .fileio import atomic_write, read_text
 from .forward import forward_hidden_states
 from .tensor_ops import unit_rows
@@ -37,12 +37,12 @@ class SimilarityMatrix:
 
     def validate(self):
         v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(f"similarity matrix must be square, got shape {v.shape}")
+        if not isinstance(v, np.ndarray) or v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValidationError(
+                f"similarity matrix must be a square array, got shape {np.shape(v)}")
         if v.shape[0] < 2:
             raise ValidationError(f"similarity matrix must be at least 2x2, got {v.shape[0]}")
-        if self.token_count < 0:
-            raise ValidationError("token_count must be non-negative")
+        require_int("token_count", self.token_count, 0)
         if not np.all(np.isfinite(v)):
             raise ValidationError("similarity matrix contains non-finite entries")
         if np.any(v < -1.0) or np.any(v > 1.0):

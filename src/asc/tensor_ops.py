@@ -24,6 +24,9 @@ GELU_COEF = 0.7978845608
 # against anything is defined as 0 instead of dividing by ~0.
 NORM_EPS = 1e-12
 
+# Added to the row variance inside `layernorm`'s square root.
+LAYERNORM_EPS = 1e-12
+
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with float64 accumulation, stored as float32.
@@ -47,8 +50,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted.astype(np.float32)
 
 
-def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              eps: float = 1e-12) -> np.ndarray:
+def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each last-axis row to zero mean / unit population variance,
     then scale and shift."""
     if x.ndim < 2 or gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
@@ -58,7 +60,7 @@ def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     x64 = x.astype(np.float64)
     mean = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
-    normed = (x64 - mean) / np.sqrt(var + eps)
+    normed = (x64 - mean) / np.sqrt(var + LAYERNORM_EPS)
     return (normed * gamma.astype(np.float64) + beta.astype(np.float64)).astype(np.float32)
 
 

@@ -69,6 +69,15 @@ class TestSynthAndGenData:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m.ascm").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16",
+         "--vocab", "20", "--seed", "-1"],
+        ["gen-data", "--sequences", "3", "--min-len", "2", "--max-len", "4", "--vocab", "9",
+         "--seed", "-5"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_refused(self, tmp_path, capsys, argv):
+        assert_refused(capsys, argv, tmp_path / "out")
+
     def test_synth_non_integer_identity_layers(self, tmp_path, capsys):
         out = tmp_path / "m.ascm"
         code = main(["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2",

@@ -50,6 +50,14 @@ class TestFileFormat:
         with pytest.raises(FormatError, match=":2: non-integer token id"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("sequences", [[[1, 2], [], [3]], [[1, -2]], [[1, 2.0]], [[True, 2]]],
+                             ids=repr)
+    def test_save_refuses_what_load_reads_differently(self, tmp_path, sequences):
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValidationError, match="sequence"):
+            save_dataset(TokenDataset(sequences), path)
+        assert not path.exists()
+
     def test_total_tokens(self):
         assert TokenDataset([[1, 2], [3]]).total_tokens == 3
         assert TokenDataset([]).total_tokens == 0

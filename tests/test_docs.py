@@ -1,5 +1,6 @@
-"""The README's shell examples stay in step with the CLI: every `asc ...`
-command in its `sh` blocks parses, so a removed option cannot linger there."""
+"""The README's examples stay in step with the code: every `asc ...` command
+in its `sh` blocks parses, so a removed option cannot linger there, and the
+"Library use" Python block runs."""
 
 import re
 import shlex
@@ -33,3 +34,12 @@ def test_readme_shows_every_pipeline_command():
 @pytest.mark.parametrize("argv", readme_asc_commands(), ids=lambda argv: argv[0])
 def test_readme_command_parses(argv):
     build_parser().parse_args(argv)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    mean_cosine, max_abs_diff = capsys.readouterr().out.split()
+    assert float(mean_cosine) == 1.0 and float(max_abs_diff) == 0.0

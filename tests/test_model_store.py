@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,14 @@ class TestRoundTrip:
         path = tmp_path / "never.ascm"
         with pytest.raises(ValidationError):
             save_model(config, ModelWeights({}), path)
+        assert not path.exists()
+
+    def test_bool_size_refused_before_write(self, tmp_path):
+        """A bool passes `isinstance(v, int)`; the loader refuses it, so the writer must too."""
+        config, weights = make_model(num_layers=1)
+        path = tmp_path / "never.ascm"
+        with pytest.raises(ValidationError, match="num_layers"):
+            save_model(replace(config, num_layers=True), weights, path)
         assert not path.exists()
 
     def test_zero_layer_model_round_trips(self, tmp_path):

@@ -170,6 +170,11 @@ class TestRandomBaseline:
     def test_full_removal_allowed(self):
         assert plan_random(3, 3, seed=0).redundant_layers == (1, 2, 3)
 
+    @pytest.mark.parametrize("num_layers, count", [(3, True), (3.0, 1), (3, 1.0)], ids=repr)
+    def test_non_int_arguments_rejected(self, num_layers, count):
+        with pytest.raises(ValidationError):
+            plan_random(num_layers, count, seed=0)
+
 
 class TestPlanValidation:
     def test_overlapping_anchors_rejected(self):
@@ -192,6 +197,21 @@ class TestPlanValidation:
         bad = PrunePlan(threshold=0.0, redundant_layers=(1,), anchors=((0, 1),),
                         mode=MODE_RANDOM)
         with pytest.raises(ValidationError, match="anchors"):
+            bad.validate()
+
+    @pytest.mark.parametrize("layers", [(True,), (np.int64(1),)], ids=repr)
+    def test_write_refuses_non_int_layers(self, tmp_path, layers):
+        bad = PrunePlan(threshold=0.0, redundant_layers=layers, anchors=(), mode=MODE_RANDOM,
+                        seed=1)
+        path = tmp_path / "plan.json"
+        with pytest.raises(ValidationError, match="redundant_layers"):
+            write_plan(bad, path)
+        assert not path.exists()
+
+    def test_asc_plan_with_seed_rejected(self):
+        """write_plan records no seed for an asc plan, so it would not load back equal."""
+        bad = PrunePlan(threshold=0.9, redundant_layers=(1,), anchors=((0, 1),), seed=4)
+        with pytest.raises(ValidationError, match="seed"):
             bad.validate()
 
     def test_unknown_mode_rejected(self):

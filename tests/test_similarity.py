@@ -372,6 +372,11 @@ class TestMatrixValidation:
         with pytest.raises(ValidationError, match="-1, 1"):
             SimilarityMatrix(values=values, token_count=1).validate()
 
+    @pytest.mark.parametrize("token_count", [2.5, True, np.int64(3)], ids=repr)
+    def test_token_count_must_be_an_int(self, token_count):
+        with pytest.raises(ValidationError, match="token_count"):
+            SimilarityMatrix(values=np.eye(2), token_count=token_count).validate()
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="square"):
             SimilarityMatrix(values=np.zeros((2, 3)), token_count=0).validate()

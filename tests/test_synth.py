@@ -116,3 +116,28 @@ class TestGenDataset:
             synth.gen_dataset(-1, 1, 3, 10, seed=0)
         with pytest.raises(ValidationError, match="vocab_size"):
             synth.gen_dataset(5, 1, 3, 0, seed=0)
+
+
+class TestArgumentsNotCoerced:
+    """Generator arguments that are not ints (or are bools, or are negative
+    seeds) raise ValidationError instead of being cast or reaching numpy."""
+
+    MODEL = dict(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=20,
+                 identity_layers=[1], seed=0, max_seq_len=8)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": -1}, {"seed": 1.0}, {"seed": np.int64(1)},
+        {"identity_layers": [1.9]}, {"identity_layers": [True]}, {"num_heads": True},
+        {"num_layers": 2.0},
+    ], ids=repr)
+    def test_gen_model(self, change):
+        with pytest.raises(ValidationError):
+            synth.gen_model(**{**self.MODEL, **change})
+
+    @pytest.mark.parametrize("args, seed", [
+        ((5, 1, 3, 10), -5), ((True, 1, 3, 10), 0), ((2.5, 1, 3, 10), 0),
+        ((5, 1, 3, True), 0), ((5, 1, 3, 10), 2.0),
+    ], ids=repr)
+    def test_gen_dataset(self, args, seed):
+        with pytest.raises(ValidationError):
+            synth.gen_dataset(*args, seed=seed)
