@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, is_int, require_int, shown
 from .fileio import atomic_write, read_text
 from .tensor_ops import single_threaded_blas
 
@@ -45,11 +45,13 @@ class TokenDataset:
     def validate(self):
         """What the file format holds: non-empty lists of Python ints >= 0."""
         if not isinstance(self.sequences, list):
-            raise ValidationError(f"dataset: sequences must be a list, got {self.sequences!r}")
+            raise ValidationError(f"dataset: sequences must be a list, got {shown(self.sequences)}")
         for n, seq in enumerate(self.sequences):
-            if not (isinstance(seq, list) and seq and all(type(t) is int and t >= 0 for t in seq)):
+            # every id an int, and only the largest needs the is_int bound
+            if not (isinstance(seq, list) and seq and all(type(t) is int for t in seq)
+                    and min(seq) >= 0 and is_int(max(seq))):
                 raise ValidationError(
-                    f"dataset: sequence {n} is not a non-empty list of ints >= 0: {seq!r}")
+                    f"dataset: sequence {n} is not a non-empty list of ints >= 0: {shown(seq)}")
 
     def map_shards(self, fn, workers: int) -> list:
         """`fn(shard)` for each round-robin shard, in shard order.
@@ -59,9 +61,7 @@ class TokenDataset:
         one thread per worker, or inline, with BLAS untouched, when there is
         one shard.
         """
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        workers = max(1, min(workers, len(self.sequences), usable_cores()))
+        workers = max(1, min(require_int("workers", workers, 1), len(self.sequences), usable_cores()))
         shards = [self.sequences[w::workers] for w in range(workers)]
         if workers == 1:
             return [fn(shards[0])]

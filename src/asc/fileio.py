@@ -59,6 +59,20 @@ def parse_json_object(data: bytes, path, version: int, what: str) -> dict:
     return obj
 
 
+def require_keys(obj, keys, what: str, optional=()) -> dict:
+    """`obj`, refused with FormatError naming it as `what` unless it is a JSON
+    object holding every one of `keys`, any of `optional` and nothing else."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what}: not a JSON object")
+    missing = set(keys) - set(obj)
+    if missing:
+        raise FormatError(f"{what}: missing fields {sorted(missing)}")
+    unknown = set(obj) - set(keys) - set(optional)
+    if unknown:
+        raise FormatError(f"{what}: unknown fields {sorted(unknown)}")
+    return obj
+
+
 def sha256_file(path):
     """Hex SHA-256 of a file's bytes; used to fingerprint matrix files."""
     digest = hashlib.sha256()

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, require_int
-from .fileio import atomic_write, parse_json_object
+from .errors import FormatError, ValidationError, is_int, require_int, shown
+from .fileio import atomic_write, parse_json_object, require_keys
 
 MAGIC = b"ASCMODL1"
 FORMAT_VERSION = 1
@@ -46,11 +46,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.layer_ids is None:
             # a num_layers that is not an int is left for validate() to refuse
-            count = self.num_layers if type(self.num_layers) is int else 0
+            count = self.num_layers if is_int(self.num_layers) else 0
             self.layer_ids = tuple(range(1, count + 1))
-        elif not isinstance(self.layer_ids, (tuple, list)) or any(
-                type(i) is not int for i in self.layer_ids):
-            raise ValidationError(f"config: layer_ids must be integers, got {self.layer_ids!r}")
+        elif not isinstance(self.layer_ids, (tuple, list)) or not all(map(is_int, self.layer_ids)):
+            raise ValidationError(f"config: layer_ids must be integers, got {shown(self.layer_ids)}")
         else:
             self.layer_ids = tuple(self.layer_ids)
 
@@ -66,7 +65,7 @@ class ModelConfig:
                 f"config: d mod h != 0 (hidden_dim={self.hidden_dim}, num_heads={self.num_heads})"
             )
         if self.norm_mode not in NORM_MODES:
-            raise ValidationError(f"config: unknown norm_mode {self.norm_mode!r}")
+            raise ValidationError(f"config: unknown norm_mode {shown(self.norm_mode)}")
         if len(self.layer_ids) != self.num_layers:
             raise ValidationError(
                 f"config: layer_ids has {len(self.layer_ids)} entries for {self.num_layers} layers"
@@ -84,15 +83,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data):
         """The config a JSON object describes; value rules are left to validate()."""
-        if not isinstance(data, dict):
-            raise FormatError("config: expected a JSON object")
-        names = {f.name for f in fields(cls)}
-        missing = names - set(data)
-        if missing:
-            raise FormatError(f"config: missing fields {sorted(missing)}")
-        extra = set(data) - names
-        if extra:
-            raise FormatError(f"config: unknown fields {sorted(extra)}")
+        require_keys(data, [f.name for f in fields(cls)], "config")
         # a null here would read as the default 1..L
         if not isinstance(data["layer_ids"], list):
             raise FormatError(f"config: layer_ids must be a list, got {data['layer_ids']!r}")
@@ -246,25 +237,16 @@ def _read_container(handle, path):
     if header_len == 0 or len(header_bytes) < header_len:
         raise FormatError(f"{path}: truncated header (claims {header_len} bytes)")
     header = parse_json_object(header_bytes, path, FORMAT_VERSION, "header")
-    if set(header) != {"version", "config", "tensors"}:
-        raise FormatError(f"{path}: header fields must be version/config/tensors, got {sorted(header)}")
+    require_keys(header, ["version", "config", "tensors"], f"{path}: header")
 
     try:
         config = ModelConfig.from_dict(header["config"])
         config.validate()
-    except ValidationError as exc:
+    except (FormatError, ValidationError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
     layout, payload_len = _payload_layout(config)
-    described = header["tensors"]
-    if not isinstance(described, dict):
-        raise FormatError(f"{path}: tensors section is not a JSON object")
-    missing = sorted(set(layout) - set(described))
-    if missing:
-        raise FormatError(f"{path}: missing tensors {missing}")
-    extra = sorted(set(described) - set(layout))
-    if extra:
-        raise FormatError(f"{path}: unexpected tensors {extra}")
+    described = require_keys(header["tensors"], layout, f"{path}: tensors")
 
     for name, expected in layout.items():
         entry = described[name]

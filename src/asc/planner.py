@@ -10,10 +10,10 @@ pruned set can be non-contiguous.
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import FormatError, ValidationError, require_int
-from .fileio import atomic_write, parse_json_object
+from .errors import FormatError, ValidationError, is_int, require_int, shown
+from .fileio import atomic_write, parse_json_object, require_keys
 
 PLAN_VERSION = 1
 MODE_ASC = "asc"
@@ -31,26 +31,29 @@ class PrunePlan:
     mode: str = MODE_ASC
     seed: int = None
 
-    def validate(self):
-        """The one rule for a plan, in memory or read from JSON (lists for tuples)."""
+    def validate(self) -> "PrunePlan":
+        """The one rule for a plan, in memory or read from JSON (lists for
+        tuples); returns the plan with tuples and a float threshold."""
 
         def ints(value):
-            return isinstance(value, (list, tuple)) and all(type(i) is int for i in value)
+            return isinstance(value, (list, tuple)) and all(map(is_int, value))
 
         for name, ok, kind in (
-            ("threshold", type(self.threshold) in (int, float), "a number"),
+            # a float subclass such as numpy's float64 is a number; a bool is not
+            ("threshold", isinstance(self.threshold, float) or is_int(self.threshold),
+             "a number"),
             ("redundant_layers", ints(self.redundant_layers), "a list of integers"),
             ("anchors", isinstance(self.anchors, (list, tuple))
              and all(ints(a) and len(a) == 2 for a in self.anchors),
              "a list of [i, j] integer pairs"),
             ("matrix_fingerprint", isinstance(self.matrix_fingerprint, (str, type(None))),
              "a string or null"),
-            ("seed", self.seed is None or type(self.seed) is int, "an integer or null"),
+            ("seed", self.seed is None or is_int(self.seed), "an integer or null"),
         ):
             if not ok:
-                raise ValidationError(f"plan: {name} must be {kind}, got {getattr(self, name)!r}")
+                raise ValidationError(f"plan: {name} must be {kind}, got {shown(getattr(self, name))}")
         if self.mode not in (MODE_ASC, MODE_RANDOM):
-            raise ValidationError(f"plan: unknown mode {self.mode!r}")
+            raise ValidationError(f"plan: unknown mode {shown(self.mode)}")
         layers = tuple(self.redundant_layers)
         if sorted(set(layers)) != list(layers):
             raise ValidationError(f"plan: redundant_layers must be sorted and unique: {layers}")
@@ -61,30 +64,35 @@ class PrunePlan:
                 raise ValidationError("plan: random plans record threshold 0")
             if self.anchors:
                 raise ValidationError("plan: random plans carry no anchors")
-            return
-        if not 0 < self.threshold <= 1:
-            raise ValidationError(f"plan: threshold must be in (0, 1], got {self.threshold}")
-        if self.seed is not None:  # write_plan records a seed for random plans only
-            raise ValidationError("plan: asc plans carry no seed")
-        covered = set()
-        previous_j = None
-        for anchor in self.anchors:
-            i, j = anchor
-            if not (0 <= i < j):
-                raise ValidationError(f"plan: bad anchor {anchor}")
-            if previous_j is not None and i < previous_j + 1:
-                raise ValidationError(f"plan: anchor blocks overlap at {anchor}")
-            covered.update(range(i + 1, j + 1))
-            previous_j = j
-        if covered != set(layers):
-            raise ValidationError(
-                f"plan: redundant_layers {layers} do not match anchor blocks {sorted(covered)}"
-            )
+        else:
+            if not 0 < self.threshold <= 1:
+                raise ValidationError(f"plan: threshold must be in (0, 1], got {self.threshold}")
+            if self.seed is not None:  # write_plan records a seed for random plans only
+                raise ValidationError("plan: asc plans carry no seed")
+            covered = set()
+            previous_j = None
+            for anchor in self.anchors:
+                i, j = anchor
+                if not (0 <= i < j):
+                    raise ValidationError(f"plan: bad anchor {anchor}")
+                if previous_j is not None and i < previous_j + 1:
+                    raise ValidationError(f"plan: anchor blocks overlap at {anchor}")
+                covered.update(range(i + 1, j + 1))
+                previous_j = j
+            if covered != set(layers):
+                raise ValidationError(
+                    f"plan: redundant_layers {layers} do not match anchor blocks {sorted(covered)}"
+                )
+        # a valid threshold lies in [0, 1], so float() cannot overflow
+        return replace(self, threshold=float(self.threshold), redundant_layers=layers,
+                       anchors=tuple(map(tuple, self.anchors)))
 
 
 def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
     """Greedy farthest-j scan over a validated similarity matrix."""
     sim.validate()
+    # the plan rule judges the threshold as given, before the scan compares with it
+    threshold = PrunePlan(threshold, (), (), matrix_fingerprint).validate().threshold
     values = sim.values
     last = sim.size - 1
     anchors = []
@@ -98,15 +106,7 @@ def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
             anchors.append((i, j))
             redundant.extend(range(i + 1, j + 1))
         i = j + 1
-    result = PrunePlan(
-        threshold=float(threshold),
-        redundant_layers=tuple(redundant),
-        anchors=tuple(anchors),
-        matrix_fingerprint=matrix_fingerprint,
-        mode=MODE_ASC,
-    )
-    result.validate()
-    return result
+    return PrunePlan(threshold, tuple(redundant), tuple(anchors), matrix_fingerprint).validate()
 
 
 def plan_random(num_layers: int, count: int, seed: int) -> PrunePlan:
@@ -115,56 +115,32 @@ def plan_random(num_layers: int, count: int, seed: int) -> PrunePlan:
     require_int("count", count, 0)
     if count > num_layers:
         raise ValidationError(f"count must be in [0, {num_layers}], got {count}")
-    rng = random.Random(seed)
-    chosen = sorted(rng.sample(range(1, num_layers + 1), count))
-    result = PrunePlan(
-        threshold=0.0,
-        redundant_layers=tuple(chosen),
-        anchors=(),
-        mode=MODE_RANDOM,
-        seed=seed,
-    )
-    result.validate()
-    return result
+    # the plan rule judges the seed as given, before random.Random takes it
+    empty = PrunePlan(threshold=0.0, redundant_layers=(), anchors=(), mode=MODE_RANDOM,
+                      seed=seed).validate()
+    chosen = sorted(random.Random(seed).sample(range(1, num_layers + 1), count))
+    return replace(empty, redundant_layers=tuple(chosen)).validate()
 
 
 def write_plan(plan_obj: PrunePlan, path):
-    plan_obj.validate()
-    payload = {
-        "version": PLAN_VERSION,
-        "threshold": plan_obj.threshold,
-        "redundant_layers": list(plan_obj.redundant_layers),
-        "anchors": [list(a) for a in plan_obj.anchors],
-        "matrix_fingerprint": plan_obj.matrix_fingerprint,
-        "mode": plan_obj.mode,
-    }
-    if plan_obj.mode == MODE_RANDOM:
-        payload["seed"] = plan_obj.seed
+    """Write `version` and each PrunePlan field as JSON; a null seed is left out."""
+    payload = {"version": PLAN_VERSION, **asdict(plan_obj.validate())}
+    if payload["seed"] is None:  # asc plans carry none
+        del payload["seed"]
     with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
 def load_plan(path) -> PrunePlan:
+    """The plan in a JSON file holding `version` and each PrunePlan field;
+    only `seed` may be absent, and reads as None."""
     with open(path, "rb") as handle:
         payload = parse_json_object(handle.read(), path, PLAN_VERSION, "plan")
-    required = {"version", "threshold", "redundant_layers", "anchors", "matrix_fingerprint", "mode"}
-    missing = required - set(payload)
-    if missing:
-        raise FormatError(f"{path}: missing plan fields {sorted(missing)}")
-    result = PrunePlan(
-        threshold=payload["threshold"],
-        redundant_layers=payload["redundant_layers"],
-        anchors=payload["anchors"],
-        matrix_fingerprint=payload["matrix_fingerprint"],
-        mode=payload["mode"],
-        seed=payload.get("seed"),  # absent reads as null
-    )
+    names = {f.name for f in fields(PrunePlan)} - {"seed"}
+    require_keys(payload, {"version", *names}, f"{path}: plan", optional=["seed"])
+    del payload["version"]
     try:
-        result.validate()
+        return PrunePlan(**payload).validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    # a valid threshold lies in [0, 1], so float() cannot overflow
-    return replace(result, threshold=float(result.threshold),
-                   redundant_layers=tuple(result.redundant_layers),
-                   anchors=tuple(tuple(a) for a in result.anchors))

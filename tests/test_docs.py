@@ -1,14 +1,17 @@
 """The README's examples stay in step with the code: every `asc ...` command
-in its `sh` blocks parses, so a removed option cannot linger there, and the
-"Library use" Python block runs."""
+in its `sh` blocks parses, so a removed option cannot linger there, the
+"Library use" Python block runs, and the plan-file keys it lists are
+`PrunePlan`'s fields."""
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from asc.cli import build_parser
+from asc.planner import PrunePlan
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +46,13 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     mean_cosine, max_abs_diff = capsys.readouterr().out.split()
     assert float(mean_cosine) == 1.0 and float(max_abs_diff) == 0.0
+
+
+def test_readme_plan_keys_are_prune_plan_fields():
+    """write_plan and load_plan take a plan file's keys from PrunePlan, so
+    the README's list follows the dataclass; `seed?` is the optional key."""
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"\*\*Plan JSON\*\*: `\{(.*?)\}`", text, re.DOTALL).group(1)
+    keys = [key.strip() for key in listed.split(",")]
+    assert keys == ["version", *(f"{f.name}?" if f.name == "seed" else f.name
+                                 for f in fields(PrunePlan))]

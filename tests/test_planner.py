@@ -79,6 +79,19 @@ class TestPlanHandTraces:
             with pytest.raises(ValidationError, match="threshold"):
                 replay_oracle(all_ones(3), bad)
 
+    @pytest.mark.parametrize("bad", [True, False, "0.9", None, np.float32(0.9), 10 ** 5000],
+                             ids=lambda v: type(v).__name__)
+    def test_threshold_judged_as_given(self, bad):
+        """PrunePlan.validate sees the raw threshold: a bool is not read as 1.0 or 0.0."""
+        with pytest.raises(ValidationError, match="threshold"):
+            plan(HAND_MATRIX, bad)
+
+    def test_numpy_float64_threshold_accepted(self):
+        """float64 subclasses float; the plan records it as a plain float."""
+        result = plan(HAND_MATRIX, np.float64(0.9))
+        assert result == plan(HAND_MATRIX, 0.9)
+        assert type(result.threshold) is float
+
     def test_mode_and_fingerprint_recorded(self):
         result = plan(HAND_MATRIX, 0.9, matrix_fingerprint="abc123")
         assert result.mode == MODE_ASC

@@ -10,11 +10,12 @@ TypeError or other stray exception.
 from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 
 from asc.data import TokenDataset, load_dataset, save_dataset
 from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
-from asc.planner import MODE_RANDOM, PrunePlan, load_plan, write_plan
+from asc.planner import MODE_RANDOM, PrunePlan, load_plan, plan_random, write_plan
 from asc.similarity import SimilarityMatrix, load_matrix_csv, write_matrix_csv
 from conftest import make_model, other_typed
 
@@ -113,3 +114,33 @@ def test_save_dataset(tmp_path):
              ("tuple sequence", lambda: TokenDataset([(1, 2), [3]]))]
     assert check_writer(tmp_path, save_dataset, load_dataset,
                         lambda got, want: got.sequences == want.sequences, dataset, cases) == []
+
+
+HUGE = 10 ** 5000  # more digits than str() and int() convert; no loader reads it
+
+
+def _huge_int_cases():
+    config, weights = make_model(num_layers=1)
+    matrix = np.array([[1.0, 0.25], [0.25, 1.0]])
+    return {
+        "dataset id": lambda path: save_dataset(TokenDataset([[1, HUGE]]), path),
+        "matrix token_count": lambda path: write_matrix_csv(SimilarityMatrix(matrix, HUGE), path),
+        "random plan seed": lambda path: write_plan(plan_random(5, 2, HUGE), path),
+        "plan seed": lambda path: write_plan(
+            PrunePlan(0.0, (1,), (), mode=MODE_RANDOM, seed=HUGE), path),
+        "plan layer": lambda path: write_plan(
+            PrunePlan(0.0, (HUGE,), (), mode=MODE_RANDOM, seed=1), path),
+        "plan threshold": lambda path: write_plan(PrunePlan(HUGE, (), ()), path),
+        "config size": lambda path: save_model(replace(config, vocab_size=HUGE), weights, path),
+        "config layer_ids": lambda path: save_model(replace(config, layer_ids=(HUGE,)), weights,
+                                                    path),
+    }
+
+
+@pytest.mark.parametrize("case", list(_huge_int_cases()))
+def test_int_beyond_digit_limit_refused(tmp_path, case):
+    """An int too long for str() is a ValidationError before any file exists,
+    not the interpreter's raw ValueError."""
+    with pytest.raises(ValidationError):
+        _huge_int_cases()[case](tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []

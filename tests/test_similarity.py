@@ -210,9 +210,11 @@ class TestAnalyze:
             analyze(config, weights, TokenDataset([]))
 
     def test_bad_workers_rejected(self, tiny_model):
+        """workers is a Python int >= 1; a bool, float or numpy int is refused, never cast."""
         config, weights = tiny_model
-        with pytest.raises(ValidationError, match="workers"):
-            analyze(config, weights, TokenDataset([[1]]), workers=0)
+        for workers in (0, -1, True, 1.5, 2.5, "2", np.int64(2)):
+            with pytest.raises(ValidationError, match="workers"):
+                analyze(config, weights, TokenDataset([[1], [2, 3]]), workers=workers)
 
     def test_matrix_structure_on_random_models(self):
         for seed in range(5):
