@@ -9,14 +9,12 @@ import itertools
 import os
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, is_int, require_int, shown
+from .errors import FormatError, ValidationError, is_int, shown
 from .fileio import atomic_write, read_text
-from .tensor_ops import single_threaded_blas
 
 # Token rows per forward batch: bounds the memory that one batch's
 # activations take, however large the dataset.
@@ -52,21 +50,6 @@ class TokenDataset:
                     and min(seq) >= 0 and is_int(max(seq))):
                 raise ValidationError(
                     f"dataset: sequence {n} is not a non-empty list of ints >= 0: {shown(seq)}")
-
-    def map_shards(self, fn, workers: int) -> list:
-        """`fn(shard)` for each round-robin shard, in shard order.
-
-        There are `workers` shards, or fewer: at most one per sequence and
-        one per usable core. Shards run on a thread pool with BLAS pinned to
-        one thread per worker, or inline, with BLAS untouched, when there is
-        one shard.
-        """
-        workers = max(1, min(require_int("workers", workers, 1), len(self.sequences), usable_cores()))
-        shards = [self.sequences[w::workers] for w in range(workers)]
-        if workers == 1:
-            return [fn(shards[0])]
-        with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, shards))
 
 
 def usable_cores() -> int:
@@ -120,12 +103,12 @@ def _holds_bool(tokens, ndim: int) -> bool:
     return not _BOOL_TYPES.isdisjoint(map(type, items))
 
 
-def length_batches(sequences, config, *more_configs) -> list:
+def length_batches(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) -> list:
     """Group `sequences` by exact length into `(indices, ids)` batches.
 
     Each length group is checked against every config before anything is
     returned. `ids` is the (B, n) int64 array of `sequences[i]` for each `i`
-    in `indices` (ascending); a batch holds at most MAX_BATCH_ROWS tokens
+    in `indices` (ascending); a batch holds at most `max_rows` tokens
     unless it is one sequence.
     Length-1 sequences run alone: a one-row product is a BLAS matrix-vector
     call, whose rounding differs from the matrix-matrix call of a taller
@@ -139,7 +122,7 @@ def length_batches(sequences, config, *more_configs) -> list:
         ids = validate_sequence(config, [sequences[i] for i in indices])
         for other in more_configs:
             validate_sequence(other, ids)
-        step = 1 if n == 1 else max(1, MAX_BATCH_ROWS // n)
+        step = 1 if n == 1 else max(1, max_rows // n)
         batches.extend((indices[lo: lo + step], ids[lo: lo + step])
                        for lo in range(0, len(indices), step))
     return batches

@@ -8,15 +8,16 @@ mirrored from the upper triangle and the diagonal forced to exactly 1.0.
 
 import re
 import string
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import length_batches
+from . import data
 from .errors import FormatError, ValidationError, require_int
 from .fileio import atomic_write, read_text
 from .forward import forward_hidden_states
-from .tensor_ops import unit_rows
+from .tensor_ops import single_threaded_blas, unit_rows
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$", re.ASCII)
 # ASCII decimals as `repr(float)` writes them; float() alone would also read
@@ -109,25 +110,49 @@ class SimilarityAccumulator:
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
-    The dataset is sharded by sequence across workers (round-robin); each
-    worker runs its shard in equal-length batches, owns a private sum matrix,
-    and the shards are merged in fixed worker order, so results are stable
-    to within addition reordering.
+    The dataset runs in equal-length batches, dealt round-robin to at most
+    `workers` workers: at most one per batch and one per usable core. With
+    a pool of P, a batch holds at most ceil(tokens / P) tokens (and at most
+    MAX_BATCH_ROWS), so a dataset of one length still fills every worker.
+    Each worker owns a private sum matrix, and the shards are merged in
+    fixed worker order, so results are stable to within addition reordering.
     """
+    workers = require_int("workers", workers, 1)
+    if config.num_layers == 0:
+        raise ValidationError("cannot analyze a model with no encoder layers")
     if dataset.total_tokens == 0:
         raise ValidationError("cannot analyze an empty dataset (0 tokens)")
     size = config.num_layers + 1
+    pool = min(workers, data.usable_cores())
+    max_rows = min(data.MAX_BATCH_ROWS, -(-dataset.total_tokens // pool))
+    batches = data.length_batches(dataset.sequences, config, max_rows=max_rows)
 
-    def run_shard(sequences):
+    def run_shard(shard):
         acc = SimilarityAccumulator(size)
-        for _, ids in length_batches(sequences, config):
+        for _, ids in shard:
             acc.add_states(forward_hidden_states(config, weights, ids))
         return acc
 
-    merged, *rest = dataset.map_shards(run_shard, workers)
+    merged, *rest = _map_shards(run_shard, batches, pool)
     for part in rest:
         merged.merge(part)
     return merged.finalize()
+
+
+# kept private (perfbench's tracer wraps public names) so worker spans stay under analyze
+def _map_shards(fn, items, workers: int) -> list:
+    """`fn(shard)` for each round-robin shard of `items`, in shard order.
+
+    There are `workers` shards, or fewer: at most one per item. Shards run
+    on a thread pool with BLAS pinned to one thread per worker, or inline,
+    with BLAS untouched, when there is one shard.
+    """
+    workers = max(1, min(workers, len(items)))
+    shards = [items[w::workers] for w in range(workers)]
+    if workers == 1:
+        return [fn(shards[0])]
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, shards))
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path):

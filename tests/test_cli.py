@@ -121,6 +121,18 @@ class TestAnalyze:
         npt.assert_allclose(load_matrix_csv(single).values,
                             load_matrix_csv(multi).values, atol=1e-9)
 
+    def test_embedding_only_model_refused(self, pipeline_files, capsys):
+        tmp_path, model, data = pipeline_files
+        bare = tmp_path / "bare.ascm"
+        assert main(["random-prune", "--model", str(model), "--count", "4",
+                     "--seed", "0", "--out", str(bare)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "sim.csv"
+        assert main(["analyze", "--model", str(bare), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cannot analyze a model with no encoder layers\n"
+        assert not out.exists()
+
     def test_missing_model_fails_without_output(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         code = main(["analyze", "--model", str(tmp_path / "nope.ascm"),

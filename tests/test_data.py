@@ -161,14 +161,18 @@ class TestLengthBatches:
             [MAX_BATCH_ROWS - 1, MAX_BATCH_ROWS, MAX_BATCH_ROWS + 1, 2 * MAX_BATCH_ROWS] * 2,
         ])
         sequences = [[0] * int(n) for n in lengths]
-        chunks = {}
-        for indices, ids in length_batches(sequences, config):
-            assert ids.size <= MAX_BATCH_ROWS or len(indices) == 1
-            chunks.setdefault(ids.shape[1], []).append(len(indices))
-        assert chunks[100] == [10, 10, 5] and chunks[300] == [3, 2]
-        for n, sizes in chunks.items():
-            # every batch but a length's last one is as full as the cap allows
-            assert all(size == max(1, MAX_BATCH_ROWS // n) for size in sizes[:-1])
+        for cap, kwargs, of_100, of_300 in [
+            (MAX_BATCH_ROWS, {}, [10, 10, 5], [3, 2]),
+            (256, {"max_rows": 256}, [2] * 12 + [1], [1] * 5),
+        ]:
+            chunks = {}
+            for indices, ids in length_batches(sequences, config, **kwargs):
+                assert ids.size <= cap or len(indices) == 1
+                chunks.setdefault(ids.shape[1], []).append(len(indices))
+            assert chunks[100] == of_100 and chunks[300] == of_300
+            for n, sizes in chunks.items():
+                # every batch but a length's last one is as full as the cap allows
+                assert all(size == max(1, cap // n) for size in sizes[:-1])
 
     def test_length_one_sequences_run_alone(self):
         config, _ = make_model(vocab_size=20)

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import data, synth, tensor_ops
+from asc import data, similarity, synth, tensor_ops
 from asc.data import TokenDataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import forward_hidden_states
@@ -173,8 +173,9 @@ class TestAnalyze:
         npt.assert_allclose(single.values, multi.values, atol=1e-9)
 
     def test_more_workers_than_sequences(self, monkeypatch):
-        """The pool has min(workers, sequences, cores) workers; its shards and
-        their merge order are those of workers == pool size."""
+        """The pool has min(workers, batches, cores) workers; its shards and
+        their merge order are those of workers == pool size. Every sequence
+        here has its own length, so each is one batch."""
         sizes = []
 
         class InlineExecutor:
@@ -190,7 +191,7 @@ class TestAnalyze:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(data, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(similarity, "ThreadPoolExecutor", InlineExecutor)
         config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(5, 2, 8, config.vocab_size, seed=9)
         single = analyze(config, weights, dataset, workers=1)
@@ -203,6 +204,53 @@ class TestAnalyze:
             npt.assert_array_equal(capped.values, exact.values)
             assert capped.token_count == exact.token_count
             npt.assert_allclose(capped.values, single.values, atol=1e-9)
+
+    def test_pool_runs_the_one_worker_batches(self, monkeypatch):
+        """Workers share out whole length batches: a pool never splits a
+        length bucket that one worker would run as one batch."""
+        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
+        rng = np.random.default_rng(3)
+        # three sequences of each length, one length after another
+        dataset = TokenDataset([rng.integers(0, config.vocab_size, n).tolist()
+                                for n in range(3, 9) for _ in range(3)])
+        rows = []
+
+        def counting(config, weights, ids):
+            rows.append(len(ids))
+            return forward_hidden_states(config, weights, ids)
+
+        monkeypatch.setattr(similarity, "forward_hidden_states", counting)
+        single = analyze(config, weights, dataset, workers=1)
+        single_rows = sorted(rows)
+        rows.clear()
+        multi = analyze(config, weights, dataset, workers=2)
+        assert single_rows == [3] * 6
+        assert sorted(rows) == single_rows
+        assert multi.token_count == single.token_count
+        npt.assert_allclose(multi.values, single.values, atol=1e-9)
+
+    def test_equal_lengths_fill_every_worker(self, monkeypatch):
+        """One length bucket is split so that each worker gets a batch."""
+        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
+        dataset = synth.gen_dataset(4, 6, 6, config.vocab_size, seed=5)
+        single = analyze(config, weights, dataset, workers=1)
+        # each batch waits for the other: passes only if both shards run at once
+        barrier = threading.Barrier(2, timeout=10)
+        calls = []
+
+        def counting(config, weights, ids):
+            calls.append((threading.get_ident(), len(ids)))
+            barrier.wait()
+            return forward_hidden_states(config, weights, ids)
+
+        monkeypatch.setattr(similarity, "forward_hidden_states", counting)
+        multi = analyze(config, weights, dataset, workers=2)
+        assert sorted(rows for _, rows in calls) == [2, 2]
+        assert len({thread for thread, _ in calls}) == 2
+        assert multi.token_count == single.token_count
+        npt.assert_allclose(multi.values, single.values, atol=1e-9)
 
     def test_empty_dataset_rejected(self, tiny_model):
         config, weights = tiny_model
@@ -275,7 +323,7 @@ class TestBlasPin:
         config, weights = tiny_model
         dataset = synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1)
         seen = []
-        dataset.map_shards(lambda shard: seen.append(fake_blas.threads), workers=2)
+        similarity._map_shards(lambda shard: seen.append(fake_blas.threads), dataset.sequences, 2)
         assert seen == [1, 1]
         assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
         analyze(config, weights, dataset, workers=3)
@@ -287,14 +335,14 @@ class TestBlasPin:
             raise RuntimeError("shard failed")
 
         with pytest.raises(RuntimeError, match="shard failed"):
-            TokenDataset([[1], [2]]).map_shards(fail, workers=2)
+            similarity._map_shards(fail, [[1], [2]], 2)
         assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
 
     def test_one_worker_leaves_blas_alone(self, fake_blas, tiny_model):
         config, weights = tiny_model
         analyze(config, weights, synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1),
                 workers=1)
-        TokenDataset([[1]]).map_shards(len, workers=8)  # one sequence, one shard
+        similarity._map_shards(len, [[1]], 8)  # one item, one shard
         assert fake_blas.calls == []
 
     def test_overlapping_pools_share_one_pin(self, fake_blas):
@@ -307,8 +355,8 @@ class TestBlasPin:
             seen.append(fake_blas.threads)
             barrier.wait()
 
-        callers = [threading.Thread(target=TokenDataset([[1], [2]]).map_shards,
-                                    args=(shard, 2)) for _ in range(2)]
+        callers = [threading.Thread(target=similarity._map_shards,
+                                    args=(shard, [[1], [2]], 2)) for _ in range(2)]
         for caller in callers:
             caller.start()
         for caller in callers:
@@ -347,7 +395,7 @@ class TestBlasPin:
         set_(2)
         try:
             seen = []
-            dataset.map_shards(lambda shard: seen.append(get()), workers=2)
+            similarity._map_shards(lambda shard: seen.append(get()), dataset.sequences, 2)
             assert seen == [1, 1]
             analyze(config, weights, dataset, workers=2)
             assert get() == 2
