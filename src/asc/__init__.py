@@ -2,7 +2,7 @@
 
 from .data import TokenDataset, load_dataset, save_dataset
 from .errors import AscError, FormatError, ShapeError, ValidationError
-from .forward import final_hidden_state, forward_hidden_states
+from .forward import forward_hidden_states
 from .model import ModelConfig, ModelWeights, load_model, save_model
 from .planner import PrunePlan, load_plan, plan, plan_random, write_plan
 from .similarity import SimilarityMatrix, analyze, load_matrix_csv, write_matrix_csv
@@ -23,7 +23,6 @@ __all__ = [
     "analyze",
     "apply_plan",
     "compare_models",
-    "final_hidden_state",
     "forward_hidden_states",
     "gen_dataset",
     "gen_model",

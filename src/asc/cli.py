@@ -7,18 +7,41 @@ partial behind; exit code 0 means all outputs were written.
 """
 
 import argparse
+import re
+import string
 import sys
 
 from . import data, heatmap, model, planner, similarity, surgery, synth
 from .errors import AscError, ValidationError
 from .fileio import atomic_write, sha256_file
-from .forward import final_hidden_state
+from .forward import forward_hidden_states
+
+# ASCII decimal digits, as the file loaders read ints; int() alone would also
+# take "1_0", " 2", "+2" and non-ASCII digits. A sign is read so that a
+# negative value reaches the check that names its bound.
+_INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
+
+
+def _int_arg(text: str) -> int:
+    try:
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # beyond the interpreter's digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _float_arg(text: str) -> float:
+    if not similarity.CSV_VALUE_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return float(text)
 
 
 def _cmd_synth(args):
+    parts = [part.strip(string.whitespace) for part in args.identity_layers.split(",")]
     try:
-        identity = [int(part) for part in args.identity_layers.split(",") if part.strip()]
-    except ValueError as exc:
+        identity = [_int_arg(part) for part in parts if part]
+    except argparse.ArgumentTypeError as exc:
         raise ValidationError(
             f"--identity-layers must be comma-separated integers, got {args.identity_layers!r}"
         ) from exc
@@ -117,8 +140,8 @@ def _cmd_forward(args):
     config, weights = model.load_model(args.model)
     dataset = data.load_dataset(args.data)
     finals = [None] * len(dataset)
-    for indices, ids in data.length_batches(dataset.sequences, config):
-        for i, final in zip(indices, final_hidden_state(config, weights, ids)):
+    for block in data.row_blocks(dataset.sequences, config):
+        for i, final in block.split(forward_hidden_states(config, weights, block)[-1]):
             finals[i] = final
     with atomic_write(args.out) as handle:
         for final in finals:
@@ -136,23 +159,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic model with planted identity layers")
-    p.add_argument("--layers", type=int, required=True)
-    p.add_argument("--hidden-dim", type=int, required=True)
-    p.add_argument("--heads", type=int, required=True)
-    p.add_argument("--ffn-dim", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--max-seq-len", type=int, default=128)
+    p.add_argument("--layers", type=_int_arg, required=True)
+    p.add_argument("--hidden-dim", type=_int_arg, required=True)
+    p.add_argument("--heads", type=_int_arg, required=True)
+    p.add_argument("--ffn-dim", type=_int_arg, required=True)
+    p.add_argument("--vocab", type=_int_arg, required=True)
+    p.add_argument("--max-seq-len", type=_int_arg, default=128)
     p.add_argument("--identity-layers", default="", help="comma-separated encoder indices (1-based)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("gen-data", help="generate a random token dataset")
-    p.add_argument("--sequences", type=int, required=True)
-    p.add_argument("--min-len", type=int, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--vocab", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--sequences", type=_int_arg, required=True)
+    p.add_argument("--min-len", type=_int_arg, required=True)
+    p.add_argument("--max-len", type=_int_arg, required=True)
+    p.add_argument("--vocab", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -160,12 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_arg, default=1)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plan", help="mark redundant layer blocks against a threshold")
     p.add_argument("--sim", required=True)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_float_arg, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_plan)
 
@@ -177,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random-prune", help="remove a random subset of layers (baseline)")
     p.add_argument("--model", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--count", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_random_prune)
 

@@ -128,6 +128,55 @@ def length_batches(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) ->
     return batches
 
 
+@dataclass(frozen=True)
+class RowBlock:
+    """Whole length batches that run through the encoder as one block of rows.
+
+    `batches` are `length_batches` entries in ascending sequence length, one
+    length segment each. A block's states are (rows, d): each sequence's rows
+    are consecutive, in segment order and then in each batch's index order.
+    """
+
+    batches: tuple
+
+    @property
+    def segments(self) -> tuple:
+        """(B, n) of each length segment, in row order."""
+        return tuple(ids.shape for _, ids in self.batches)
+
+    def split(self, rows):
+        """(dataset index, that sequence's part of `rows`) for each sequence, in row order."""
+        lo = 0
+        for indices, ids in self.batches:
+            n = ids.shape[1]
+            for i in indices:
+                yield i, rows[lo: lo + n]
+                lo += n
+
+
+def row_blocks(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) -> list:
+    """`length_batches`, packed shortest length first into `RowBlock`s.
+
+    Batches join a block while it holds no more token rows than the largest
+    batch, so no block needs more memory than that batch; and a length-1
+    batch runs alone, as `length_batches` requires. Only attention needs
+    equal lengths, so a block runs its token-wise work once over all rows.
+    """
+    batches = sorted(length_batches(sequences, config, *more_configs, max_rows=max_rows),
+                     key=lambda batch: batch[1].shape[1])
+    cap = max((ids.size for _, ids in batches), default=0)
+    blocks, rows = [], 0
+    for batch in batches:
+        # ascending lengths: a block whose last batch is longer than 1 takes no length-1 batch
+        if blocks and blocks[-1][-1][1].shape[1] > 1 and rows + batch[1].size <= cap:
+            blocks[-1].append(batch)
+            rows += batch[1].size
+        else:
+            blocks.append([batch])
+            rows = batch[1].size
+    return [RowBlock(tuple(block)) for block in blocks]
+
+
 def load_dataset(path) -> TokenDataset:
     sequences = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):

@@ -110,12 +110,13 @@ class SimilarityAccumulator:
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
-    The dataset runs in equal-length batches, dealt round-robin to at most
-    `workers` workers: at most one per batch and one per usable core. With
-    a pool of P, a batch holds at most ceil(tokens / P) tokens (and at most
-    MAX_BATCH_ROWS), so a dataset of one length still fills every worker.
-    Each worker owns a private sum matrix, and the shards are merged in
-    fixed worker order, so results are stable to within addition reordering.
+    The dataset runs in row blocks (`data.row_blocks`), dealt round-robin
+    to at most `workers` workers: at most one per block and one per usable
+    core. With a pool of P, a length batch holds at most ceil(tokens / P)
+    tokens (and at most MAX_BATCH_ROWS), so a dataset of one length still
+    fills every worker. Each worker owns a private sum matrix, and the
+    shards are merged in fixed worker order, so results are stable to
+    within addition reordering.
     """
     workers = require_int("workers", workers, 1)
     if config.num_layers == 0:
@@ -125,15 +126,15 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     size = config.num_layers + 1
     pool = min(workers, data.usable_cores())
     max_rows = min(data.MAX_BATCH_ROWS, -(-dataset.total_tokens // pool))
-    batches = data.length_batches(dataset.sequences, config, max_rows=max_rows)
+    blocks = data.row_blocks(dataset.sequences, config, max_rows=max_rows)
 
     def run_shard(shard):
         acc = SimilarityAccumulator(size)
-        for _, ids in shard:
-            acc.add_states(forward_hidden_states(config, weights, ids))
+        for block in shard:
+            acc.add_states(forward_hidden_states(config, weights, block))
         return acc
 
-    merged, *rest = _map_shards(run_shard, batches, pool)
+    merged, *rest = _map_shards(run_shard, blocks, pool)
     for part in rest:
         merged.merge(part)
     return merged.finalize()

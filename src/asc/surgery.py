@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import length_batches
+from .data import row_blocks
 from .errors import ValidationError
 from .forward import embed, encoder_layer, forward_hidden_states
 from .model import ModelWeights, layer_shapes
@@ -78,10 +78,11 @@ def _shared_with(config_a, weights_a, config_b, weights_b):
 def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> DivergenceReport:
     """Per-token cosine and max-abs-difference between final-layer outputs.
 
-    A runs once per length batch and keeps every state. Where B's slot holds
-    one of A's layers (same id, same tensor bits) and B's input to it has the
-    bits of that layer's input in A, B takes A's output instead of running
-    the layer: the same tensors on the same bits give the same bits.
+    A runs once per row block (`data.row_blocks`) and keeps every state.
+    Where B's slot holds one of A's layers (same id, same tensor bits) and
+    B's input to it has the bits of that layer's input in A, B takes A's
+    output instead of running the layer: the same tensors on the same bits
+    give the same bits.
     """
     if config_a.hidden_dim != config_b.hidden_dim:
         raise ValidationError(
@@ -94,18 +95,17 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
     seq_sums = [0.0] * len(dataset)
     cos_min = np.inf
     diff_max = 0.0
-    d = config_a.hidden_dim
-    for indices, ids in length_batches(dataset.sequences, config_a, config_b):
-        states_a = forward_hidden_states(config_a, weights_a, ids)
-        state = states_a[0] if same_embed else embed(config_b, weights_b, ids)
+    for block in row_blocks(dataset.sequences, config_a, config_b):
+        states_a = forward_hidden_states(config_a, weights_a, block)
+        state = states_a[0] if same_embed else embed(config_b, weights_b, block)
         for s in range(config_b.num_layers):
             k = pairs.get(s)
             if k is not None and _same_bits(state, states_a[k]):
                 state = states_a[k + 1]
             else:
-                state = encoder_layer(config_b, weights_b, s, state)
-        out_a = states_a[-1].reshape(-1, d).astype(np.float64)
-        out_b = state.reshape(-1, d).astype(np.float64)
+                state = encoder_layer(config_b, weights_b, s, state, block.segments)
+        out_a = states_a[-1].astype(np.float64)
+        out_b = state.astype(np.float64)
         unit_a = unit_rows(out_a)
         cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
         # bit-identical live rows (non-zero unit vectors) score exactly 1,
@@ -113,11 +113,11 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
         # instead of 1 - ulp
         cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
         np.clip(cos, -1.0, 1.0, out=cos)
-        for i, seq_cos in zip(indices, cos.reshape(len(indices), -1)):
+        for i, seq_cos in block.split(cos):
             seq_sums[i] = seq_cos.sum()
         cos_min = min(cos_min, cos.min())
         diff_max = max(diff_max, np.abs(out_a - out_b).max())
-    # summed per sequence, in dataset order, whatever the batching
+    # summed per sequence, in dataset order, whatever the blocks
     cos_sum = sum(seq_sums)
     count = dataset.total_tokens
     return DivergenceReport(

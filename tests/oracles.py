@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
 Each one is written the slow, literal way on purpose: a per-vector cosine,
-a per-token view of the forward pass, and a transliteration of the
-published scan. None of them is used by the pipeline itself.
+a per-token view of the forward pass, a layer-by-layer final state, and a
+transliteration of the published scan. None of them is used by the
+pipeline itself.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from asc.errors import ShapeError, ValidationError
-from asc.forward import forward_hidden_states
+from asc.forward import embed, encoder_layer, forward_hidden_states
 from asc.tensor_ops import NORM_EPS
 
 
@@ -45,6 +46,18 @@ def forward_with_taps(config, weights, tokens):
     states = forward_hidden_states(config, weights, tokens)
     for t in range(len(tokens)):
         yield LayerTapFrame(token_index=t, layer_outputs=[state[t] for state in states])
+
+
+def final_hidden_state(config, weights, tokens) -> np.ndarray:
+    """Output of the last surviving layer (the embedding for 0-layer models).
+
+    Equal, bit for bit, to `forward_hidden_states(...)[-1]`, but holds one
+    running state instead of all L+1.
+    """
+    state = embed(config, weights, tokens)
+    for k in range(config.num_layers):
+        state = encoder_layer(config, weights, k, state)
+    return state
 
 
 def add_frame(acc, frame):

@@ -16,13 +16,12 @@ import numpy.testing as npt
 
 from asc import synth
 from asc.cli import main
-from asc.forward import final_hidden_state
 from asc.model import load_model, save_model
 from asc.planner import plan
 from asc.similarity import SimilarityMatrix, analyze, load_matrix_csv
 from asc.surgery import apply_plan
 from conftest import make_model
-from oracles import cosine, forward_with_taps, replay_oracle
+from oracles import cosine, final_hidden_state, forward_with_taps, replay_oracle
 
 
 def reported(capfd, number, description, budget_seconds, body):

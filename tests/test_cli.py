@@ -8,10 +8,11 @@ import numpy.testing as npt
 import pytest
 
 from asc.cli import main
-from asc.forward import final_hidden_state
+from asc.data import row_blocks
 from asc.model import MAGIC, load_model
 from asc.planner import load_plan
 from asc.similarity import load_matrix_csv, write_matrix_csv, SimilarityMatrix
+from oracles import final_hidden_state
 
 
 def write_matrix(path, values, tokens=10):
@@ -309,8 +310,70 @@ class TestDeeplyNestedJson:
                        tmp_path / "pruned.ascm")
 
 
+SYNTH_ARGS = ["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16",
+              "--vocab", "20", "--seed", "0"]
+GEN_DATA_ARGS = ["gen-data", "--sequences", "3", "--min-len", "2", "--max-len", "4",
+                 "--vocab", "9", "--seed", "1"]
+
+
+def with_value(argv, flag, value):
+    """`argv` with `flag` set to `value`, replacing its value if it has one."""
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return argv[:at] + [value] + argv[at + 1:]
+    return argv + [flag, value]
+
+
 class TestStrictNumbers:
     """Numbers that Python's int() or float() would coerce are refused."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (SYNTH_ARGS, "--layers", "\u0662"),
+        (SYNTH_ARGS, "--hidden-dim", "1_6"),
+        (SYNTH_ARGS, "--heads", " 2"),
+        (SYNTH_ARGS, "--max-seq-len", "+64"),
+        (SYNTH_ARGS, "--seed", "\uff10"),
+        (GEN_DATA_ARGS, "--sequences", "1_0"),
+        (GEN_DATA_ARGS, "--max-len", "\u0663"),
+        (GEN_DATA_ARGS, "--vocab", "9.0"),
+        pytest.param(GEN_DATA_ARGS, "--seed", "1" * 5000, id="gen-data-seed-beyond-digit-limit"),
+        (["analyze", "--model", "m.ascm", "--data", "d.txt"], "--workers", "\u0662"),
+        (["plan", "--sim", "s.csv"], "--threshold", "0.9_99"),
+        (["plan", "--sim", "s.csv"], "--threshold", "nan"),
+        (["plan", "--sim", "s.csv"], "--threshold", "\u0660.9"),
+        (["plan", "--sim", "s.csv"], "--threshold", "0.9 "),
+        (["random-prune", "--model", "m.ascm", "--seed", "1"], "--count", "1_0"),
+        (["random-prune", "--model", "m.ascm", "--count", "1"], "--seed", "\u0661"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else ascii(v))
+    def test_numeric_flag(self, tmp_path, capsys, argv, flag, value):
+        """Refused by the argument parser, as `--layers abc` is, before any file is read."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(with_value(argv, flag, value) + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["\u0662", "2,\u0663", "1_0", "+2", "2,\u00a03"],
+                             ids=ascii)
+    def test_identity_layers(self, tmp_path, capsys, value):
+        """Refused as `--identity-layers a` is: exit 1 with `error: ...`. With
+        12 layers, every value int() would read names a layer in range."""
+        argv = with_value(SYNTH_ARGS, "--layers", "12") + ["--identity-layers", value]
+        assert_refused(capsys, argv, tmp_path / "m.ascm")
+
+    def test_loader_forms_accepted(self, tmp_path, capsys):
+        """What the file loaders read still works: a sign, an exponent, spaces around list items."""
+        model = tmp_path / "m.ascm"
+        assert main(with_value(SYNTH_ARGS, "--layers", "3")
+                    + ["--identity-layers", "2, 3", "--out", str(model)]) == 0
+        assert "identity_layers=[2, 3]" in capsys.readouterr().out
+        sim = tmp_path / "sim.csv"
+        write_matrix(sim, HAND_VALUES)
+        plan_path = tmp_path / "plan.json"
+        assert main(["plan", "--sim", str(sim), "--threshold", "+9.0E-1",
+                     "--out", str(plan_path)]) == 0
+        assert load_plan(plan_path).threshold == 0.9
 
     @pytest.mark.parametrize("line", ["1_0 2 3", "\u0663 2 3", "1 +2 3", "1\u00a02\u30003"])
     def test_dataset_token(self, pipeline_files, capsys, line):
@@ -443,6 +506,24 @@ class TestCompareAndForward:
         assert main(["forward", "--model", str(model), "--data", str(data),
                      "--out", str(out)]) == 0
         config, weights = load_model(model)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for seq in sequences
+                           for row in final_hidden_state(config, weights, seq))
+        assert out.read_text() == expected
+
+    def test_forward_keeps_input_order_across_row_blocks(self, pipeline_files):
+        tmp_path, model, _ = pipeline_files
+        config, weights = load_model(model)
+        rng = np.random.default_rng(4)
+        sequences = [rng.integers(0, 40, size=int(rng.integers(1, 13))).tolist()
+                     for _ in range(30)]
+        blocks = row_blocks(sequences, config)
+        assert len(blocks) >= 3 and any(len(block.segments) > 1 for block in blocks)
+        data = tmp_path / "mixed.txt"
+        data.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in sequences))
+        out = tmp_path / "emb.csv"
+        assert main(["forward", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
                            for seq in sequences
                            for row in final_hidden_state(config, weights, seq))

@@ -6,6 +6,7 @@ from asc.data import (
     MAX_BATCH_ROWS,
     TokenDataset,
     length_batches,
+    row_blocks,
     load_dataset,
     save_dataset,
     validate_sequence,
@@ -204,3 +205,49 @@ class TestLengthBatches:
         config, _ = make_model(vocab_size=20)
         with pytest.raises(ValidationError, match=r"token id 100000000000000000000 out of range"):
             length_batches([[1, 2], [3, 10**20]], config)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_rows", [MAX_BATCH_ROWS, 64, 8])
+    def test_packing_invariants(self, seed, max_rows):
+        config, _ = make_model(vocab_size=20, max_seq_len=40)
+        rng = np.random.default_rng(seed)
+        sequences = [rng.integers(0, 20, size=int(rng.integers(1, 41))).tolist()
+                     for _ in range(150)]
+        batches = length_batches(sequences, config, max_rows=max_rows)
+        largest = max(ids.size for _, ids in batches)
+        blocks = row_blocks(sequences, config, max_rows=max_rows)
+        assert any(len(block.batches) > 1 for block in blocks)
+        # each sequence once, in whole length batches
+        seen = [i for block in blocks for indices, _ in block.batches for i in indices]
+        assert sorted(seen) == list(range(len(sequences)))
+        packed = sorted((indices, ids.tolist()) for block in blocks
+                        for indices, ids in block.batches)
+        assert packed == sorted((indices, ids.tolist()) for indices, ids in batches)
+        # shortest length first, across and within blocks
+        lengths = [n for block in blocks for _, n in block.segments]
+        assert lengths == sorted(lengths)
+        sizes = [sum(b * n for b, n in block.segments) for block in blocks]
+        for block, size, after in zip(blocks, sizes, blocks[1:] + [None]):
+            assert size <= largest
+            if (1, 1) in block.segments:
+                assert block.segments == ((1, 1),)
+            # a block is closed only when the next batch would not fit
+            if after is not None and block.segments[-1][1] > 1:
+                assert size + after.batches[0][1].size > largest
+
+    def test_split_gives_each_sequence_its_rows(self, tiny_model):
+        config, _ = tiny_model
+        sequences = [[1, 2, 3], [4], [5, 6], [7, 8, 9, 10], [11, 12], [13, 14, 15, 16],
+                     [17, 18, 19, 0]]
+        blocks = row_blocks(sequences, config)
+        # 4 + 3 rows fit in the largest batch's 12; 7 + 12 do not
+        assert [block.segments for block in blocks] == [((1, 1),), ((2, 2), (1, 3)), ((3, 4),)]
+        ids = np.concatenate([ids.ravel() for _, ids in blocks[1].batches])
+        assert [(i, part.tolist()) for i, part in blocks[1].split(ids)] == [
+            (2, [5, 6]), (4, [11, 12]), (0, [1, 2, 3])]
+
+    def test_empty_input(self, tiny_model):
+        config, _ = tiny_model
+        assert row_blocks([], config) == []

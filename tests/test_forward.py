@@ -3,11 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from asc import synth
+from asc.data import row_blocks
 from asc.errors import ValidationError
-from asc.forward import embed, encoder_layer, final_hidden_state, forward_hidden_states
+from asc.forward import embed, encoder_layer, forward_hidden_states
 from asc.model import ModelConfig, ModelWeights, tensor_shapes
 from conftest import make_model
-from oracles import forward_with_taps
+from oracles import final_hidden_state, forward_with_taps
 
 
 def forward_oracle(config, weights, tokens):
@@ -278,3 +279,49 @@ class TestBatches:
         assert out.shape == x.shape
         for b in range(3):
             npt.assert_array_equal(out[b], encoder_layer(config, weights, 0, x[b]))
+
+
+class TestRowBlocks:
+    """Each sequence's states inside a packed row block equal its own, bit for bit."""
+
+    @pytest.mark.parametrize("norm_mode", ["standard", "none"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("layers, d, heads, ffn, max_len", [
+        (2, 8, 2, 16, 16),
+        (2, 32, 4, 64, 40),
+        (1, 64, 4, 256, 64),
+    ])
+    def test_each_sequence_equals_its_single_sequence_states(self, norm_mode, seed, layers, d,
+                                                             heads, ffn, max_len):
+        config, weights = make_model(num_layers=layers, hidden_dim=d, num_heads=heads,
+                                     ffn_dim=ffn, vocab_size=30, max_seq_len=max_len,
+                                     norm_mode=norm_mode, seed=seed)
+        rng = np.random.default_rng(seed + 50)
+        sequences = [rng.integers(0, 30, int(rng.integers(1, max_len + 1))).tolist()
+                     for _ in range(60)]
+        blocks = row_blocks(sequences, config)
+        assert sum(len(block.segments) > 1 for block in blocks) >= 2
+        checked = 0
+        for block in blocks:
+            states = forward_hidden_states(config, weights, block)
+            rows = sum(b * n for b, n in block.segments)
+            assert [state.shape for state in states] == [(rows, d)] * (layers + 1)
+            parts = [dict(block.split(state)) for state in states]
+            for i in parts[0]:
+                single = forward_hidden_states(config, weights, sequences[i])
+                for part, want in zip(parts, single):
+                    assert np.array_equal(part[i].view(np.uint32), want.view(np.uint32))
+                checked += 1
+        assert checked == len(sequences)
+
+    def test_encoder_layer_takes_the_block_segments(self, tiny_model):
+        config, weights = tiny_model
+        sequences = [[1, 2, 3], [4, 5], [6, 7, 8, 9], [10, 11], [12, 13, 14, 15],
+                     [16, 17, 18, 19]]
+        block, _ = row_blocks(sequences, config)
+        assert block.segments == ((2, 2), (1, 3))
+        x = embed(config, weights, block)
+        out = encoder_layer(config, weights, 0, x, block.segments)
+        for i, got in block.split(out):
+            npt.assert_array_equal(
+                got, encoder_layer(config, weights, 0, embed(config, weights, sequences[i])))

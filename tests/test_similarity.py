@@ -206,27 +206,29 @@ class TestAnalyze:
             npt.assert_allclose(capped.values, single.values, atol=1e-9)
 
     def test_pool_runs_the_one_worker_batches(self, monkeypatch):
-        """Workers share out whole length batches: a pool never splits a
-        length bucket that one worker would run as one batch."""
+        """Workers share out whole row blocks: a pool runs the blocks that
+        one worker runs, and never splits a length bucket."""
         monkeypatch.setattr(data, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         rng = np.random.default_rng(3)
         # three sequences of each length, one length after another
         dataset = TokenDataset([rng.integers(0, config.vocab_size, n).tolist()
                                 for n in range(3, 9) for _ in range(3)])
-        rows = []
+        blocks = []
 
-        def counting(config, weights, ids):
-            rows.append(len(ids))
-            return forward_hidden_states(config, weights, ids)
+        def counting(config, weights, block):
+            blocks.append(block.segments)
+            return forward_hidden_states(config, weights, block)
 
         monkeypatch.setattr(similarity, "forward_hidden_states", counting)
         single = analyze(config, weights, dataset, workers=1)
-        single_rows = sorted(rows)
-        rows.clear()
+        single_blocks = sorted(blocks)
+        blocks.clear()
         multi = analyze(config, weights, dataset, workers=2)
-        assert single_rows == [3] * 6
-        assert sorted(rows) == single_rows
+        # (B, n) per segment: only lengths 3 and 4 (9 + 12 rows) fit in the
+        # largest batch's 24 rows together
+        assert single_blocks == [((3, 3), (3, 4)), ((3, 5),), ((3, 6),), ((3, 7),), ((3, 8),)]
+        assert sorted(blocks) == single_blocks
         assert multi.token_count == single.token_count
         npt.assert_allclose(multi.values, single.values, atol=1e-9)
 
@@ -240,14 +242,14 @@ class TestAnalyze:
         barrier = threading.Barrier(2, timeout=10)
         calls = []
 
-        def counting(config, weights, ids):
-            calls.append((threading.get_ident(), len(ids)))
+        def counting(config, weights, block):
+            calls.append((threading.get_ident(), block.segments))
             barrier.wait()
-            return forward_hidden_states(config, weights, ids)
+            return forward_hidden_states(config, weights, block)
 
         monkeypatch.setattr(similarity, "forward_hidden_states", counting)
         multi = analyze(config, weights, dataset, workers=2)
-        assert sorted(rows for _, rows in calls) == [2, 2]
+        assert [segments for _, segments in calls] == [((2, 6),), ((2, 6),)]
         assert len({thread for thread, _ in calls}) == 2
         assert multi.token_count == single.token_count
         npt.assert_allclose(multi.values, single.values, atol=1e-9)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asc import forward, surgery, synth
-from asc.data import TokenDataset, length_batches
+from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
-from asc.forward import final_hidden_state, forward_hidden_states
+from asc.forward import forward_hidden_states
 from asc.model import ModelWeights, load_model, save_model
 from asc.planner import PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
 from asc.tensor_ops import unit_rows
 from conftest import make_model
+from oracles import final_hidden_state
 
 
 def empty_plan():
@@ -239,9 +240,9 @@ def layer_runs(monkeypatch):
     runs = {"a": [], "b": []}
 
     def counting(model, real):
-        def layer(config, weights, k, x):
+        def layer(config, weights, k, x, *segments):
             runs[model].append(k)
-            return real(config, weights, k, x)
+            return real(config, weights, k, x, *segments)
         return layer
 
     monkeypatch.setattr(forward, "encoder_layer", counting("a", forward.encoder_layer))
@@ -318,8 +319,8 @@ class TestCompareReuse:
             weights_b = with_tensor(weights, "embed.token", lambda t: np.nextafter(t, np.inf, out=t))
         dataset = mixed_lengths()
         assert_exact(config, weights, config_b, weights_b, dataset)
-        batches = len(length_batches(dataset.sequences, config))
-        assert layer_runs["b"] == list(range(PLANTED_LAYERS)) * batches
+        blocks = len(row_blocks(dataset.sequences, config))
+        assert layer_runs["b"] == list(range(PLANTED_LAYERS)) * blocks
 
     def test_layer_ids_that_a_lacks(self, layer_runs):
         config, weights = planted_model()
@@ -348,6 +349,21 @@ class TestCompareReuse:
         if swap:
             model_a, model_b = model_b, model_a
         assert_exact(*model_a, *model_b, mixed_lengths())
+
+
+class TestCompareRowBlocks:
+    @pytest.mark.parametrize("norm_mode", ["none", "standard"])
+    def test_report_equals_per_sequence_report(self, norm_mode):
+        config, weights = planted_model(norm_mode)
+        rng = np.random.default_rng(63)
+        dataset = TokenDataset([rng.integers(0, 30, size=int(rng.integers(1, 13))).tolist()
+                                for _ in range(40)])
+        blocks = row_blocks(dataset.sequences, config)
+        assert len(blocks) >= 3 and any(len(block.segments) > 1 for block in blocks)
+        for redundant in [(), (4,), (2, 3, 6), (1, 5, 8)]:
+            pruned = apply_plan(config, weights, asc_plan(redundant, ()))
+            assert_exact(config, weights, *pruned, dataset)
+            assert_exact(*pruned, config, weights, dataset)
 
 
 class TestCompareLayerCount:
