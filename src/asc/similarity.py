@@ -6,9 +6,11 @@ Sums are kept in float64 and divided once at finalize; the result is
 mirrored from the upper triangle and the diagonal forced to exactly 1.0.
 """
 
+import os
+import pickle
 import re
+import signal
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +116,10 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     to at most `workers` workers: at most one per block and one per usable
     core. With a pool of P, a length batch holds at most ceil(tokens / P)
     tokens (and at most MAX_BATCH_ROWS), so a dataset of one length still
-    fills every worker. Each worker owns a private sum matrix, and the
-    shards are merged in fixed worker order, so results are stable to
-    within addition reordering.
+    fills every worker. Shard 0 runs in this process and each other shard
+    in a forked child (see `_map_shards`). Each worker owns a private sum
+    matrix, and the shards are merged in fixed worker order, so results are
+    stable to within addition reordering.
     """
     workers = require_int("workers", workers, 1)
     if config.num_layers == 0:
@@ -144,16 +147,69 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
 def _map_shards(fn, items, workers: int) -> list:
     """`fn(shard)` for each round-robin shard of `items`, in shard order.
 
-    There are `workers` shards, or fewer: at most one per item. Shards run
-    on a thread pool with BLAS pinned to one thread per worker, or inline,
-    with BLAS untouched, when there is one shard.
+    There are `workers` shards, or fewer: at most one per item. Shard 0 runs
+    in the calling process and each other shard in a forked child, which
+    sends back its result, or the exception it raised, through a pipe.
+    BLAS is pinned to one thread from before the first fork until every
+    child is reaped, so children inherit the pin. The first failed shard's
+    exception is raised in shard order; a child that ends without a result
+    raises `ChildProcessError`. With one shard, or where `os.fork` does not
+    exist, the shards run inline one after another, with BLAS untouched.
     """
     workers = max(1, min(workers, len(items)))
     shards = [items[w::workers] for w in range(workers)]
-    if workers == 1:
-        return [fn(shards[0])]
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, shards))
+    if workers == 1 or not hasattr(os, "fork"):
+        return [fn(shard) for shard in shards]
+    pids, pipes = [], []
+    with single_threaded_blas():
+        try:
+            for shard in shards[1:]:
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _run_child(fn, shard, write_fd)
+                finally:
+                    os.close(write_fd)
+                pids.append(pid)
+            results = [fn(shards[0])]
+            payloads = [pipe.read() for pipe in pipes]
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for k, (pid, payload, code) in enumerate(zip(pids, payloads, codes), start=1):
+        if code != 0:  # a child exits 0 only once its whole payload is written
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"shard {k} worker (pid {pid}) ended without a result ({how})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_child(fn, shard, write_fd):
+    """In a forked child: pickle `(True, fn(shard))`, or `(False, exception)`,
+    to `write_fd`, then leave with `os._exit`, so no code of the parent's
+    stack (its `finally` blocks, exit handlers, buffered output) runs here."""
+    code = 1
+    try:
+        try:
+            outcome = (True, fn(shard))
+        except BaseException as exc:
+            outcome = (False, exc)
+        payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path):

@@ -122,11 +122,12 @@ _pin_restore = None
 def single_threaded_blas():
     """Run the block with BLAS on one thread, then restore the previous count.
 
-    For thread pools whose workers each call BLAS: BLAS's own threads would
-    compete with the workers for the same cores. The count is process-wide,
-    so overlapping blocks (from several threads) share one pin, and the
-    count read before the first is restored after the last. Does nothing
-    when numpy's BLAS is not the bundled OpenBLAS.
+    For worker pools whose workers each call BLAS: BLAS's own threads would
+    compete with the workers for the same cores, and children forked inside
+    the block inherit the one-thread count. The count is process-wide, so
+    overlapping blocks (from several threads) share one pin, and the count
+    read before the first is restored after the last. Does nothing when
+    numpy's BLAS is not the bundled OpenBLAS.
     """
     global _pin_depth, _pin_restore
     handle = _openblas_threads()

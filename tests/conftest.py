@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,17 @@ def other_typed(value):
     if type(value) is int:
         candidates += [float(value), str(value), [value], bool(value)]
     return [c for c in candidates if type(c) is not type(value)]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process (waitpid(-1, WNOHANG) -> {pid}, {status})")
 
 
 @pytest.fixture

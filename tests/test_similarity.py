@@ -1,5 +1,10 @@
+import ast
 import ctypes
+import multiprocessing
+import os
+import signal
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +12,11 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import data, similarity, synth, tensor_ops
-from asc.data import TokenDataset
+from asc import cli, data, similarity, synth, tensor_ops
+from asc.data import TokenDataset, save_dataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import forward_hidden_states
+from asc.model import save_model
 from asc.similarity import (
     SimilarityAccumulator,
     SimilarityMatrix,
@@ -39,6 +45,31 @@ def analyze_oracle(config, weights, dataset):
     full = full + full.T
     np.fill_diagonal(full, 1.0)
     return full, count
+
+
+def log_blocks(monkeypatch, log, barrier=None):
+    """Make `analyze` append `(pid, block segments)` to the file `log` for
+    each block, from whichever process runs it, then wait at `barrier`."""
+    def logged(config, weights, block):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{(os.getpid(), block.segments)!r}\n")
+        if barrier is not None:
+            barrier.wait()
+        return forward_hidden_states(config, weights, block)
+
+    monkeypatch.setattr(similarity, "forward_hidden_states", logged)
+
+
+def take_logged_blocks(log) -> list:
+    """The `(pid, segments)` entries `log_blocks` wrote, emptying the log."""
+    entries = [ast.literal_eval(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    log.unlink()
+    return entries
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestAccumulator:
@@ -173,39 +204,32 @@ class TestAnalyze:
         npt.assert_allclose(single.values, multi.values, atol=1e-9)
 
     def test_more_workers_than_sequences(self, monkeypatch):
-        """The pool has min(workers, batches, cores) workers; its shards and
-        their merge order are those of workers == pool size. Every sequence
-        here has its own length, so each is one batch."""
-        sizes = []
+        """The pool has min(workers, batches, cores) workers, all but the
+        first forked; its shards and their merge order are those of
+        workers == pool size. Every sequence here has its own length, so
+        each is one batch."""
+        forks = []
+        real_fork = os.fork
 
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(similarity, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "fork", counting_fork)
         config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(5, 2, 8, config.vocab_size, seed=9)
         single = analyze(config, weights, dataset, workers=1)
         for workers, cores, pool in [(10**6, 64, 5), (10**6, 3, 3), (4, 64, 4)]:
             monkeypatch.setattr(data, "usable_cores", lambda cores=cores: cores)
-            sizes.clear()
+            forks.clear()
             capped = analyze(config, weights, dataset, workers=workers)
             exact = analyze(config, weights, dataset, workers=pool)
-            assert sizes == [pool, pool]
+            assert forks == [os.getpid()] * (2 * (pool - 1))
             npt.assert_array_equal(capped.values, exact.values)
             assert capped.token_count == exact.token_count
             npt.assert_allclose(capped.values, single.values, atol=1e-9)
 
-    def test_pool_runs_the_one_worker_batches(self, monkeypatch):
+    def test_pool_runs_the_one_worker_batches(self, monkeypatch, tmp_path):
         """Workers share out whole row blocks: a pool runs the blocks that
         one worker runs, and never splits a length bucket."""
         monkeypatch.setattr(data, "usable_cores", lambda: 2)
@@ -214,17 +238,12 @@ class TestAnalyze:
         # three sequences of each length, one length after another
         dataset = TokenDataset([rng.integers(0, config.vocab_size, n).tolist()
                                 for n in range(3, 9) for _ in range(3)])
-        blocks = []
-
-        def counting(config, weights, block):
-            blocks.append(block.segments)
-            return forward_hidden_states(config, weights, block)
-
-        monkeypatch.setattr(similarity, "forward_hidden_states", counting)
+        log = tmp_path / "blocks.txt"
+        log_blocks(monkeypatch, log)
         single = analyze(config, weights, dataset, workers=1)
-        single_blocks = sorted(blocks)
-        blocks.clear()
+        single_blocks = sorted(segments for _, segments in take_logged_blocks(log))
         multi = analyze(config, weights, dataset, workers=2)
+        blocks = [segments for _, segments in take_logged_blocks(log)]
         # (B, n) per segment: only lengths 3 and 4 (9 + 12 rows) fit in the
         # largest batch's 24 rows together
         assert single_blocks == [((3, 3), (3, 4)), ((3, 5),), ((3, 6),), ((3, 7),), ((3, 8),)]
@@ -232,25 +251,21 @@ class TestAnalyze:
         assert multi.token_count == single.token_count
         npt.assert_allclose(multi.values, single.values, atol=1e-9)
 
-    def test_equal_lengths_fill_every_worker(self, monkeypatch):
+    def test_equal_lengths_fill_every_worker(self, monkeypatch, tmp_path):
         """One length bucket is split so that each worker gets a batch."""
         monkeypatch.setattr(data, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(4, 6, 6, config.vocab_size, seed=5)
         single = analyze(config, weights, dataset, workers=1)
         # each batch waits for the other: passes only if both shards run at once
-        barrier = threading.Barrier(2, timeout=10)
-        calls = []
-
-        def counting(config, weights, block):
-            calls.append((threading.get_ident(), block.segments))
-            barrier.wait()
-            return forward_hidden_states(config, weights, block)
-
-        monkeypatch.setattr(similarity, "forward_hidden_states", counting)
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
+        log = tmp_path / "blocks.txt"
+        log_blocks(monkeypatch, log, barrier)
         multi = analyze(config, weights, dataset, workers=2)
+        calls = take_logged_blocks(log)
         assert [segments for _, segments in calls] == [((2, 6),), ((2, 6),)]
-        assert len({thread for thread, _ in calls}) == 2
+        # shard 0 in this process, shard 1 in a child
+        assert len({pid for pid, _ in calls}) == 2 and os.getpid() in {pid for pid, _ in calls}
         assert multi.token_count == single.token_count
         npt.assert_allclose(multi.values, single.values, atol=1e-9)
 
@@ -310,22 +325,22 @@ class FakeBlas:
         self.threads = threads
 
 
+@pytest.fixture
+def fake_blas(monkeypatch):
+    fake = FakeBlas(threads=3)
+    monkeypatch.setattr(tensor_ops, "_openblas_threads", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(data, "usable_cores", lambda: 4)
+    return fake
+
+
 class TestBlasPin:
     """A pool of 2 or more workers runs with BLAS on one thread; the count
-    read before it starts is restored once it has joined."""
-
-    @pytest.fixture
-    def fake_blas(self, monkeypatch):
-        fake = FakeBlas(threads=3)
-        monkeypatch.setattr(tensor_ops, "_openblas_threads", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(data, "usable_cores", lambda: 4)
-        return fake
+    read before it starts is restored once every child is reaped."""
 
     def test_pool_pins_one_thread_then_restores(self, fake_blas, tiny_model):
         config, weights = tiny_model
         dataset = synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1)
-        seen = []
-        similarity._map_shards(lambda shard: seen.append(fake_blas.threads), dataset.sequences, 2)
+        seen = similarity._map_shards(lambda shard: fake_blas.threads, dataset.sequences, 2)
         assert seen == [1, 1]
         assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
         analyze(config, weights, dataset, workers=3)
@@ -349,22 +364,24 @@ class TestBlasPin:
 
     def test_overlapping_pools_share_one_pin(self, fake_blas):
         """Two pools up at once (from two threads) read the count once and
-        restore it after the last one joins."""
-        barrier = threading.Barrier(4, timeout=10)
+        restore it after the last one has reaped its children."""
+        barrier = multiprocessing.get_context("fork").Barrier(4, timeout=10)
         seen = []
 
         def shard(_):
-            seen.append(fake_blas.threads)
+            threads = fake_blas.threads
             barrier.wait()
+            return threads
 
-        callers = [threading.Thread(target=similarity._map_shards,
-                                    args=(shard, [[1], [2]], 2)) for _ in range(2)]
+        callers = [threading.Thread(
+            target=lambda: seen.append(similarity._map_shards(shard, [[1], [2]], 2)))
+            for _ in range(2)]
         for caller in callers:
             caller.start()
         for caller in callers:
             caller.join(timeout=10)
             assert not caller.is_alive()
-        assert seen == [1, 1, 1, 1]
+        assert seen == [[1, 1], [1, 1]]
         assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
 
     @pytest.mark.parametrize("missing", ["library", "symbol"])
@@ -396,13 +413,125 @@ class TestBlasPin:
         original = get()
         set_(2)
         try:
-            seen = []
-            similarity._map_shards(lambda shard: seen.append(get()), dataset.sequences, 2)
+            seen = similarity._map_shards(lambda shard: get(), dataset.sequences, 2)
             assert seen == [1, 1]
             analyze(config, weights, dataset, workers=2)
             assert get() == 2
         finally:
             set_(original)
+
+
+class TestForkedShards:
+    """Shard 0 runs in this process, every other shard in a forked child;
+    however a shard ends, the BLAS count is restored and no child is left."""
+
+    def test_shard_error_reaches_caller(self, fake_blas):
+        parent = os.getpid()
+
+        def shard(items):
+            if os.getpid() != parent:
+                raise ValidationError(f"bad shard {items}")
+            return items
+
+        with pytest.raises(ValidationError, match=r"^bad shard \[\[2\]\]$"):
+            similarity._map_shards(shard, [[1], [2]], 2)
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert_no_children()
+
+    def test_first_failed_shard_in_shard_order(self, fake_blas):
+        """Shard 1's error is raised even when shard 2 fails first."""
+        parent = os.getpid()
+
+        def shard(items):
+            if os.getpid() == parent:
+                return items
+            if items == [[2]]:
+                time.sleep(0.5)
+            raise ValidationError(f"bad shard {items}")
+
+        with pytest.raises(ValidationError, match=r"^bad shard \[\[2\]\]$"):
+            similarity._map_shards(shard, [[1], [2], [3]], 3)
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert_no_children()
+
+    def test_killed_child_is_an_os_error(self, fake_blas, monkeypatch, tmp_path, capsys):
+        parent = os.getpid()
+
+        def die_in_child():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def shard(items):
+            die_in_child()
+            return items
+
+        with pytest.raises(ChildProcessError,
+                           match=r"^shard 1 worker \(pid \d+\) ended without a result "
+                                 r"\(killed by signal 9\)$"):
+            similarity._map_shards(shard, [[1], [2]], 2)
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert_no_children()
+
+        config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=12)
+        save_model(config, weights, tmp_path / "model.ascm")
+        save_dataset(synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1),
+                     tmp_path / "data.txt")
+
+        def forward_or_die(config, weights, block):
+            die_in_child()
+            return forward_hidden_states(config, weights, block)
+
+        monkeypatch.setattr(similarity, "forward_hidden_states", forward_or_die)
+        capsys.readouterr()
+        code = cli.main(["analyze", "--model", str(tmp_path / "model.ascm"),
+                         "--data", str(tmp_path / "data.txt"),
+                         "--out", str(tmp_path / "sim.csv"), "--workers", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: shard 1 worker (pid ")
+        assert sorted(os.listdir(tmp_path)) == ["data.txt", "model.ascm"]
+        assert fake_blas.calls[3:] == ["get", ("set", 1), ("set", 3)]
+        assert fake_blas.threads == 3
+        assert_no_children()
+
+    def test_interrupt_in_shard_0_kills_the_children(self, fake_blas, tmp_path):
+        parent = os.getpid()
+        started = tmp_path / "child.pid"
+
+        def shard(items):
+            if os.getpid() != parent:
+                (tmp_path / "child.tmp").write_text(str(os.getpid()))
+                os.replace(tmp_path / "child.tmp", started)
+                time.sleep(60)
+                return items
+            deadline = time.monotonic() + 10
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        begun = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            similarity._map_shards(shard, [[1], [2]], 2)
+        assert time.monotonic() - begun < 30  # killed, not waited for
+        with pytest.raises(ProcessLookupError):  # and reaped: no zombie left
+            os.kill(int(started.read_text()), 0)
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert_no_children()
+
+    def test_without_fork_shards_run_inline(self, fake_blas, monkeypatch):
+        """Where os.fork does not exist, the shards run one after another in
+        this process, with BLAS untouched, and give the same matrix."""
+        config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
+        dataset = synth.gen_dataset(9, 2, 12, config.vocab_size, seed=4)
+        forked = analyze(config, weights, dataset, workers=3)
+        fake_blas.calls.clear()
+        monkeypatch.delattr(os, "fork")
+        assert similarity._map_shards(lambda shard: (os.getpid(), shard), [1, 2, 3, 4], 3) == [
+            (os.getpid(), [1, 4]), (os.getpid(), [2]), (os.getpid(), [3])]
+        inline = analyze(config, weights, dataset, workers=3)
+        assert fake_blas.calls == []
+        npt.assert_array_equal(inline.values, forked.values)
+        assert inline.token_count == forked.token_count
 
 
 class TestMatrixValidation:
