@@ -140,7 +140,7 @@ def _cmd_forward(args):
     config, weights = model.load_model(args.model)
     dataset = data.load_dataset(args.data)
     finals = [None] * len(dataset)
-    for block in data.row_blocks(dataset.sequences, config):
+    for block in data.row_blocks(dataset, config):
         for i, final in block.split(forward_hidden_states(config, weights, block)[-1]):
             finals[i] = final
     with atomic_write(args.out) as handle:

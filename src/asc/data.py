@@ -5,7 +5,6 @@ digits, separated by ASCII whitespace; lines starting with ``#`` and blank
 lines are ignored.
 """
 
-import itertools
 import os
 import re
 import string
@@ -23,8 +22,6 @@ MAX_BATCH_ROWS = 1024
 # Ids are separated by ASCII whitespace only (`string.whitespace`); str.split()
 # would also split on U+00A0, U+3000 and other non-ASCII spaces.
 _ASCII_SPACE_RUN = re.compile(f"[{re.escape(string.whitespace)}]+")
-
-_BOOL_TYPES = {bool, np.bool_}
 
 
 @dataclass
@@ -60,68 +57,36 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def validate_sequence(config, tokens) -> np.ndarray:
-    """Check token ids of shape (..., n) against a model; return them as int64.
+def length_batches(dataset, config, *more_configs, workers=1) -> list:
+    """Group a dataset's sequences by exact length into `(indices, ids)` batches.
 
-    `tokens` is one sequence (a list or array) or a batch of equal-length
-    ones. Each sequence must be non-empty and at most max_seq_len long, and
-    every id an integer in [0, vocab_size): float, bool and other non-integer
-    ids are refused, never cast.
-    """
-    try:
-        ids = np.asarray(tokens)
-    except ValueError as exc:  # ragged rows
-        raise ValidationError(f"token ids must form an array of shape (..., n) ({exc})") from exc
-    if ids.ndim == 0:
-        raise ValidationError("token ids must form an array of shape (..., n)")
-    n = ids.shape[-1]
-    if n == 0:
-        raise ValidationError("sequence is empty")
-    if n > config.max_seq_len:
-        raise ValidationError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
-    if ids.dtype.kind not in "iu":
-        # numpy stores a list holding an int beyond 64 bits as float64 or
-        # object, so look at the ids themselves
-        ids = np.asarray(tokens, dtype=object)
-        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
-                   for t in ids.flat):
-            raise ValidationError("token ids must be integers")
-    elif not isinstance(tokens, np.ndarray) and _holds_bool(tokens, ids.ndim):
-        # numpy stores bools mixed with ints as ints
-        raise ValidationError("token ids must be integers")
-    bad = (ids < 0) | (ids >= config.vocab_size)
-    if bad.any():
-        raise ValidationError(f"token id {ids[bad][0]} out of range [0, {config.vocab_size})")
-    return ids.astype(np.int64, copy=False)
-
-
-def _holds_bool(tokens, ndim: int) -> bool:
-    """Whether nested sequences `ndim` deep hold a bool anywhere."""
-    items = tokens
-    for _ in range(ndim - 1):
-        items = itertools.chain.from_iterable(items)
-    return not _BOOL_TYPES.isdisjoint(map(type, items))
-
-
-def length_batches(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) -> list:
-    """Group `sequences` by exact length into `(indices, ids)` batches.
-
-    Each length group is checked against every config before anything is
-    returned. `ids` is the (B, n) int64 array of `sequences[i]` for each `i`
-    in `indices` (ascending); a batch holds at most `max_rows` tokens
-    unless it is one sequence.
+    This is where a dataset's ids are checked, before any array is built:
+    first `dataset.validate()`, then each length group's length and largest
+    id against every config. `ids` is the (B, n) int64 array of
+    `dataset.sequences[i]` for each `i` in `indices` (ascending); a batch
+    holds at most MAX_BATCH_ROWS tokens, and at most ceil(tokens / `workers`)
+    of the dataset's, unless it is one sequence.
     Length-1 sequences run alone: a one-row product is a BLAS matrix-vector
     call, whose rounding differs from the matrix-matrix call of a taller
     batch, and a batch must give each sequence exactly its own states.
     """
+    dataset.validate()
+    sequences = dataset.sequences
     by_length = {}
     for i, seq in enumerate(sequences):
         by_length.setdefault(len(seq), []).append(i)
+    for n, indices in by_length.items():
+        top = max(max(sequences[i]) for i in indices)
+        for cfg in (config, *more_configs):
+            if n > cfg.max_seq_len:
+                raise ValidationError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+            if top >= cfg.vocab_size:
+                bad = next(t for i in indices for t in sequences[i] if t >= cfg.vocab_size)
+                raise ValidationError(f"token id {bad} out of range [0, {cfg.vocab_size})")
+    max_rows = min(MAX_BATCH_ROWS, -(-dataset.total_tokens // workers))
     batches = []
     for n, indices in by_length.items():
-        ids = validate_sequence(config, [sequences[i] for i in indices])
-        for other in more_configs:
-            validate_sequence(other, ids)
+        ids = np.array([sequences[i] for i in indices], dtype=np.int64)
         step = 1 if n == 1 else max(1, max_rows // n)
         batches.extend((indices[lo: lo + step], ids[lo: lo + step])
                        for lo in range(0, len(indices), step))
@@ -130,7 +95,7 @@ def length_batches(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) ->
 
 @dataclass(frozen=True)
 class RowBlock:
-    """Whole length batches that run through the encoder as one block of rows.
+    """Whole checked length batches: the forward pass's one input, run as one block of rows.
 
     `batches` are `length_batches` entries in ascending sequence length, one
     length segment each. A block's states are (rows, d): each sequence's rows
@@ -154,15 +119,16 @@ class RowBlock:
                 lo += n
 
 
-def row_blocks(sequences, config, *more_configs, max_rows=MAX_BATCH_ROWS) -> list:
-    """`length_batches`, packed shortest length first into `RowBlock`s.
+def row_blocks(dataset, config, *more_configs, workers=1) -> list:
+    """A dataset's `length_batches`, checked against every config and packed
+    shortest length first into `RowBlock`s.
 
     Batches join a block while it holds no more token rows than the largest
     batch, so no block needs more memory than that batch; and a length-1
     batch runs alone, as `length_batches` requires. Only attention needs
     equal lengths, so a block runs its token-wise work once over all rows.
     """
-    batches = sorted(length_batches(sequences, config, *more_configs, max_rows=max_rows),
+    batches = sorted(length_batches(dataset, config, *more_configs, workers=workers),
                      key=lambda batch: batch[1].shape[1])
     cap = max((ids.size for _, ids in batches), default=0)
     blocks, rows = [], 0

@@ -6,15 +6,13 @@ index k (1..L) the output of encoder layer k. Layers are post-norm
 skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
 
-States have shape (..., n, d): one sequence is (n, d), and a batch of B
-equal-length sequences is (B, n, d), with no padding and no mask. A
-`data.RowBlock` packs such batches of several lengths; its states are
-(rows, d), with each length segment's rows in one run. Embedding,
-projections, the FFN and the layernorms run once over all rows of a
-block; attention runs per segment, all heads of all its sequences as one
-stacked product. An array input is the one-segment case, so each
-sequence's states in a batch or block equal its states on its own, bit
-for bit.
+The input is a `data.RowBlock`, whose ids `data.row_blocks` has checked.
+Every state is (rows, d), one row per token, with each sequence's rows
+consecutive and each length segment's (B, n) sequences in one run; there
+is no padding and no mask. Embedding, projections, the FFN and the
+layernorms run once over all rows; attention runs per segment, all heads
+of all its sequences as one stacked product, so each sequence's states
+equal its states in a block of its own, bit for bit.
 """
 
 import math
@@ -22,33 +20,22 @@ import math
 import numpy as np
 
 from . import tensor_ops
-from .data import RowBlock, validate_sequence
 
 
-def embed(config, weights, tokens) -> np.ndarray:
-    """Token + position embedding rows; row-normalized when norm_mode="standard".
+def embed(config, weights, block) -> np.ndarray:
+    """Token + position embedding rows of a `RowBlock`, (rows, d);
+    row-normalized when norm_mode="standard".
 
-    `tokens` is one sequence of ids, an array of shape (..., n) or a
-    `RowBlock` (whose rows come back as one (rows, d) array); ids are
-    checked by `data.validate_sequence` either way.
     The embedding normalization is parameter-free (gamma=1, beta=0): the
     canonical tensor set carries no embedding-layernorm weights.
     """
-    if isinstance(tokens, RowBlock):
-        rows = np.concatenate([_embed_rows(config, weights, ids).reshape(-1, config.hidden_dim)
-                               for _, ids in tokens.batches])
-    else:
-        rows = _embed_rows(config, weights, tokens)
+    d = config.hidden_dim
+    rows = np.concatenate([(weights["embed.token"][ids] + weights["embed.pos"][: ids.shape[1]])
+                           .reshape(-1, d) for _, ids in block.batches])
     if config.norm_mode == "standard":
-        d = config.hidden_dim
         rows = tensor_ops.layernorm(
             rows, np.ones(d, dtype=np.float32), np.zeros(d, dtype=np.float32))
     return rows
-
-
-def _embed_rows(config, weights, tokens):
-    ids = validate_sequence(config, tokens)
-    return weights["embed.token"][ids] + weights["embed.pos"][: ids.shape[-1]]
 
 
 def _attention(config, weights, k, rows, segments):
@@ -82,15 +69,10 @@ def _segment_attention(config, q, key, v, b, n):
     return ctx.swapaxes(-2, -3).reshape(b * n, config.hidden_dim)
 
 
-def encoder_layer(config, weights, k, x, segments=None) -> np.ndarray:
-    """One post-norm encoder block; `k` is the 0-based storage index.
-
-    `x` is (..., n, d), or a `RowBlock`'s (rows, d) states with its `segments`.
-    """
+def encoder_layer(config, weights, k, rows, segments) -> np.ndarray:
+    """One post-norm encoder block over a block's (rows, d) states, given its
+    `segments`; `k` is the 0-based storage index."""
     prefix = f"layer.{k}"
-    rows = x.reshape(-1, config.hidden_dim)
-    if segments is None:
-        segments = ((rows.shape[0] // x.shape[-2], x.shape[-2]),)
     y1 = rows + _attention(config, weights, k, rows, segments)
     if config.norm_mode == "standard":
         y1 = tensor_ops.layernorm(y1, weights[f"{prefix}.ln1.g"], weights[f"{prefix}.ln1.b"])
@@ -101,17 +83,12 @@ def encoder_layer(config, weights, k, x, segments=None) -> np.ndarray:
     y = y1 + ffn
     if config.norm_mode == "standard":
         y = tensor_ops.layernorm(y, weights[f"{prefix}.ln2.g"], weights[f"{prefix}.ln2.b"])
-    return y.reshape(x.shape)
+    return y
 
 
-def forward_hidden_states(config, weights, tokens) -> list:
-    """All L+1 hidden states, computed in a single pass.
-
-    For one sequence each state is (n, d); for a (B, n) id array, (B, n, d);
-    for a `RowBlock`, (rows, d).
-    """
-    segments = tokens.segments if isinstance(tokens, RowBlock) else None
-    states = [embed(config, weights, tokens)]
+def forward_hidden_states(config, weights, block) -> list:
+    """All L+1 (rows, d) hidden states of a `RowBlock`, computed in a single pass."""
+    states = [embed(config, weights, block)]
     for k in range(config.num_layers):
-        states.append(encoder_layer(config, weights, k, states[-1], segments))
+        states.append(encoder_layer(config, weights, k, states[-1], block.segments))
     return states

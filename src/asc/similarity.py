@@ -75,18 +75,17 @@ class SimilarityAccumulator:
         return self._sums
 
     def add_states(self, states):
-        """Accumulate the hidden states of a sequence or a batch of them
-        (a list of (..., n, d) arrays, one per layer)."""
+        """Accumulate the hidden states of a row block (a list of (rows, d)
+        arrays, one per layer)."""
         if len(states) != self.size:
             raise ValidationError(
                 f"sequence has {len(states)} hidden states, accumulator expects {self.size}"
             )
         # one layer at a time into one float64 block, so a batch holds no
         # float32 or float64 copy of its whole state stack beside it
-        d = states[0].shape[-1]
-        unit = np.empty((self.size, states[0].size // d, d))
+        unit = np.empty((self.size, *states[0].shape))
         for k, state in enumerate(states):
-            unit[k] = unit_rows(state.reshape(-1, d))
+            unit[k] = unit_rows(state)
         grams = np.einsum("ind,jnd->nij", unit, unit)
         np.clip(grams, -1.0, 1.0, out=grams)
         self._sums += grams.sum(axis=0)
@@ -112,24 +111,23 @@ class SimilarityAccumulator:
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
-    The dataset runs in row blocks (`data.row_blocks`), dealt round-robin
-    to at most `workers` workers: at most one per block and one per usable
-    core. With a pool of P, a length batch holds at most ceil(tokens / P)
-    tokens (and at most MAX_BATCH_ROWS), so a dataset of one length still
-    fills every worker. Shard 0 runs in this process and each other shard
-    in a forked child (see `_map_shards`). Each worker owns a private sum
-    matrix, and the shards are merged in fixed worker order, so results are
-    stable to within addition reordering.
+    The dataset is checked and runs in row blocks (`data.row_blocks`),
+    dealt round-robin to at most `workers` workers: at most one per block
+    and one per usable core. With a pool of P, a length batch holds at most
+    ceil(tokens / P) tokens (and at most MAX_BATCH_ROWS), so a dataset of
+    one length still fills every worker. Shard 0 runs in this process and
+    each other shard in a forked child (see `_map_shards`). Each worker
+    owns a private sum matrix, and the shards are merged in fixed worker
+    order, so results are stable to within addition reordering.
     """
     workers = require_int("workers", workers, 1)
     if config.num_layers == 0:
         raise ValidationError("cannot analyze a model with no encoder layers")
-    if dataset.total_tokens == 0:
-        raise ValidationError("cannot analyze an empty dataset (0 tokens)")
     size = config.num_layers + 1
     pool = min(workers, data.usable_cores())
-    max_rows = min(data.MAX_BATCH_ROWS, -(-dataset.total_tokens // pool))
-    blocks = data.row_blocks(dataset.sequences, config, max_rows=max_rows)
+    blocks = data.row_blocks(dataset, config, workers=pool)
+    if not blocks:
+        raise ValidationError("cannot analyze an empty dataset (0 tokens)")
 
     def run_shard(shard):
         acc = SimilarityAccumulator(size)

@@ -78,7 +78,8 @@ def _shared_with(config_a, weights_a, config_b, weights_b):
 def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> DivergenceReport:
     """Per-token cosine and max-abs-difference between final-layer outputs.
 
-    A runs once per row block (`data.row_blocks`) and keeps every state.
+    The dataset is checked against both models and runs in row blocks
+    (`data.row_blocks`); A runs once per block and keeps every state.
     Where B's slot holds one of A's layers (same id, same tensor bits) and
     B's input to it has the bits of that layer's input in A, B takes A's
     output instead of running the layer: the same tensors on the same bits
@@ -88,14 +89,15 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
         raise ValidationError(
             f"models have different hidden dims: {config_a.hidden_dim} vs {config_b.hidden_dim}"
         )
-    if dataset.total_tokens == 0:
+    blocks = row_blocks(dataset, config_a, config_b)
+    if not blocks:
         raise ValidationError("cannot compare over an empty dataset (0 tokens)")
 
     same_embed, pairs = _shared_with(config_a, weights_a, config_b, weights_b)
     seq_sums = [0.0] * len(dataset)
     cos_min = np.inf
     diff_max = 0.0
-    for block in row_blocks(dataset.sequences, config_a, config_b):
+    for block in blocks:
         states_a = forward_hidden_states(config_a, weights_a, block)
         state = states_a[0] if same_embed else embed(config_b, weights_b, block)
         for s in range(config_b.num_layers):

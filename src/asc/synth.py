@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import TokenDataset
+from .data import RowBlock, TokenDataset
 from .errors import ValidationError, require_int
 from .forward import embed, encoder_layer
 from .model import ModelConfig, ModelWeights, layer_shapes, tensor_shapes, validate_weights
@@ -28,7 +28,7 @@ _PROBE_LEN = 16
 
 
 def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
-    """Mean cosine between matching token states of two (..., n, d) batches."""
+    """Mean cosine between matching rows of two (rows, d) states."""
     cos = np.einsum("...d,...d->...", unit_rows(before), unit_rows(after))
     return float(np.clip(cos, -1.0, 1.0).mean())
 
@@ -90,15 +90,17 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     }
     weights = ModelWeights(tensors)
 
-    probe_shape = (_PROBE_SEQUENCES, min(_PROBE_LEN, max_seq_len))
-    probe = embed(config, weights, rng.integers(0, vocab_size, size=probe_shape))
+    segments = ((_PROBE_SEQUENCES, min(_PROBE_LEN, max_seq_len)),)
+    # one batch, built whole: `row_blocks` runs each sequence of a length-1 probe alone
+    ids = rng.integers(0, vocab_size, size=segments[0])
+    probe = embed(config, weights, RowBlock(((range(_PROBE_SEQUENCES), ids),)))
     suffixes = layer_shapes(config)
 
     for encoder_index in range(1, num_layers + 1):
         slot = encoder_index - 1
         if encoder_index in identity:
             tensors.update(_layer_tensors(rng, suffixes, slot))
-            if not np.array_equal(encoder_layer(config, weights, slot, probe), probe):
+            if not np.array_equal(encoder_layer(config, weights, slot, probe, segments), probe):
                 raise RuntimeError(f"planted identity layer {encoder_index} is not a passthrough")
             continue
 
@@ -106,7 +108,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         accepted = False
         for _ in range(_MAX_SCALE_RETRIES):
             tensors.update(_layer_tensors(rng, suffixes, slot, scale))
-            out = encoder_layer(config, weights, slot, probe)
+            out = encoder_layer(config, weights, slot, probe, segments)
             if _mean_token_cosine(probe, out) < SEPARATION_CAP:
                 probe = out
                 accepted = True

@@ -3,13 +3,15 @@
 Each one is written the slow, literal way on purpose: a per-vector cosine,
 a per-token view of the forward pass, a layer-by-layer final state, and a
 transliteration of the published scan. None of them is used by the
-pipeline itself.
+pipeline itself. The forward pass takes row blocks only; `one_block` and
+`sequence_states` run one sequence as the one block of its own dataset.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from asc.data import TokenDataset, row_blocks
 from asc.errors import ShapeError, ValidationError
 from asc.forward import embed, encoder_layer, forward_hidden_states
 from asc.tensor_ops import NORM_EPS
@@ -41,22 +43,35 @@ class LayerTapFrame:
     layer_outputs: list
 
 
+def one_block(config, tokens):
+    """The one row block of a one-sequence `TokenDataset`, checked against `config`."""
+    (block,) = row_blocks(TokenDataset([tokens]), config)
+    return block
+
+
+def sequence_states(config, weights, tokens) -> list:
+    """All L+1 (n, d) hidden states of one sequence, run as a block of its own."""
+    return forward_hidden_states(config, weights, one_block(config, tokens))
+
+
 def forward_with_taps(config, weights, tokens):
     """Yield one LayerTapFrame per token position; outputs are views, not copies."""
-    states = forward_hidden_states(config, weights, tokens)
+    states = sequence_states(config, weights, tokens)
     for t in range(len(tokens)):
         yield LayerTapFrame(token_index=t, layer_outputs=[state[t] for state in states])
 
 
 def final_hidden_state(config, weights, tokens) -> np.ndarray:
-    """Output of the last surviving layer (the embedding for 0-layer models).
+    """Output of the last surviving layer (the embedding for 0-layer models)
+    for one sequence.
 
-    Equal, bit for bit, to `forward_hidden_states(...)[-1]`, but holds one
+    Equal, bit for bit, to `sequence_states(...)[-1]`, but holds one
     running state instead of all L+1.
     """
-    state = embed(config, weights, tokens)
+    block = one_block(config, tokens)
+    state = embed(config, weights, block)
     for k in range(config.num_layers):
-        state = encoder_layer(config, weights, k, state)
+        state = encoder_layer(config, weights, k, state, block.segments)
     return state
 
 

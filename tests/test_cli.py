@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from asc.cli import main
-from asc.data import row_blocks
+from asc.data import TokenDataset, row_blocks
 from asc.model import MAGIC, load_model
 from asc.planner import load_plan
 from asc.similarity import load_matrix_csv, write_matrix_csv, SimilarityMatrix
@@ -517,7 +517,7 @@ class TestCompareAndForward:
         rng = np.random.default_rng(4)
         sequences = [rng.integers(0, 40, size=int(rng.integers(1, 13))).tolist()
                      for _ in range(30)]
-        blocks = row_blocks(sequences, config)
+        blocks = row_blocks(TokenDataset(sequences), config)
         assert len(blocks) >= 3 and any(len(block.segments) > 1 for block in blocks)
         data = tmp_path / "mixed.txt"
         data.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in sequences))

@@ -3,12 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from asc import synth
-from asc.data import row_blocks
-from asc.errors import ValidationError
+from asc.data import TokenDataset, row_blocks
 from asc.forward import embed, encoder_layer, forward_hidden_states
 from asc.model import ModelConfig, ModelWeights, tensor_shapes
 from conftest import make_model
-from oracles import final_hidden_state, forward_with_taps
+from oracles import final_hidden_state, forward_with_taps, one_block, sequence_states
 
 
 def forward_oracle(config, weights, tokens):
@@ -58,69 +57,32 @@ class TestEmbed:
         config, weights = make_model(num_layers=0, norm_mode="none")
         weights.tensors["embed.token"] = np.zeros_like(weights["embed.token"])
         weights.tensors["embed.pos"] = np.zeros_like(weights["embed.pos"])
-        npt.assert_array_equal(embed(config, weights, [3]), np.zeros((1, config.hidden_dim), np.float32))
+        npt.assert_array_equal(embed(config, weights, one_block(config, [3])),
+                               np.zeros((1, config.hidden_dim), np.float32))
 
     def test_norm_none_is_exact_sum(self):
         config, weights = make_model(num_layers=0, norm_mode="none", seed=2)
         tokens = [4, 7, 4]
-        out = embed(config, weights, tokens)
+        out = embed(config, weights, one_block(config, tokens))
         expected = weights["embed.token"][tokens] + weights["embed.pos"][:3]
         npt.assert_array_equal(out, expected)
 
     def test_norm_standard_rows_are_normalized(self):
         config, weights = make_model(num_layers=0, norm_mode="standard", hidden_dim=8, seed=5)
-        out = embed(config, weights, [1, 2, 3]).astype(np.float64)
+        out = embed(config, weights, one_block(config, [1, 2, 3])).astype(np.float64)
         assert np.all(np.abs(out.mean(axis=1)) < 1e-6)
         assert np.all(np.abs(out.var(axis=1) - 1.0) < 1e-4)
-
-    def test_token_out_of_range(self):
-        config, weights = make_model(vocab_size=10)
-        with pytest.raises(ValidationError, match="out of range"):
-            embed(config, weights, [10])
-
-    def test_empty_sequence_rejected(self, tiny_model):
-        config, weights = tiny_model
-        with pytest.raises(ValidationError, match="empty"):
-            embed(config, weights, [])
-
-    def test_sequence_longer_than_max_rejected(self):
-        config, weights = make_model(max_seq_len=4)
-        with pytest.raises(ValidationError, match="max_seq_len"):
-            embed(config, weights, [0] * 5)
 
     @pytest.mark.parametrize("norm_mode", ["standard", "none"])
     def test_batch_equals_per_row_lists(self, norm_mode):
         config, weights = make_model(vocab_size=30, norm_mode=norm_mode, seed=3)
-        ids = np.random.default_rng(5).integers(0, 30, size=(4, 9))
-        batch = embed(config, weights, ids)
-        assert batch.shape == (4, 9, config.hidden_dim)
-        for b in range(4):
-            npt.assert_array_equal(batch[b], embed(config, weights, ids[b].tolist()))
-
-
-class TestArrayIdsChecked:
-    """Ids given as an array get the same check as a list, on every entry point."""
-
-    @pytest.mark.parametrize("fn", [embed, forward_hidden_states, final_hidden_state])
-    @pytest.mark.parametrize("ids, message", [
-        (np.array([-1, 2]), r"token id -1 out of range \[0, 20\)"),
-        (np.array([[3, 4], [5, -2]]), r"token id -2 out of range"),
-        (np.array([1.7, 2.2]), "must be integers"),
-        (np.array([[1.0, 2.0]]), "must be integers"),
-        (np.array([True, False]), "must be integers"),
-        (np.array([3, 20]), r"token id 20 out of range \[0, 20\)"),
-        (np.array([[3, 4], [25, 0]]), r"token id 25 out of range"),
-        (np.array([2**63], dtype=np.uint64), r"token id 9223372036854775808 out of range"),
-        (np.array([1, 10**20], dtype=object), r"token id 100000000000000000000 out of range"),
-        (np.zeros((3, 0), dtype=np.int64), "sequence is empty"),
-        (np.zeros(0, dtype=np.int64), "sequence is empty"),
-        (np.zeros((2, 17), dtype=np.int64), "sequence length 17 exceeds max_seq_len 16"),
-    ], ids=["negative", "negative-batch", "float", "float-batch", "bool", "vocab",
-            "vocab-batch", "uint64", "object-huge", "batch-of-empty", "empty", "too-long"])
-    def test_refused(self, fn, ids, message):
-        config, weights = make_model(vocab_size=20, max_seq_len=16)
-        with pytest.raises(ValidationError, match=message):
-            fn(config, weights, ids)
+        sequences = np.random.default_rng(5).integers(0, 30, size=(4, 9)).tolist()
+        (block,) = row_blocks(TokenDataset(sequences), config)
+        assert block.segments == ((4, 9),)
+        batch = embed(config, weights, block)
+        assert batch.shape == (4 * 9, config.hidden_dim)
+        for i, rows in block.split(batch):
+            npt.assert_array_equal(rows, embed(config, weights, one_block(config, sequences[i])))
 
 
 class TestEncoderLayer:
@@ -128,8 +90,9 @@ class TestEncoderLayer:
         config, weights = synth.gen_model(num_layers=1, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=20, identity_layers=[1],
                                           seed=9, max_seq_len=10)
-        x = embed(config, weights, [3, 14, 9])
-        out = encoder_layer(config, weights, 0, x)
+        block = one_block(config, [3, 14, 9])
+        x = embed(config, weights, block)
+        out = encoder_layer(config, weights, 0, x, block.segments)
         npt.assert_array_equal(out, x)
 
     def test_single_token_single_head_hand_trace(self):
@@ -162,7 +125,7 @@ class TestEncoderLayer:
         act = 0.5 * pre * (1.0 + np.tanh(0.7978845608 * (pre + 0.044715 * pre ** 3)))
         expected = y1 + act @ tensors["layer.0.ffn.w2"].astype(np.float64) + [-0.1, 0.2]
 
-        out = encoder_layer(config, weights, 0, x)
+        out = encoder_layer(config, weights, 0, x, ((1, 1),))
         npt.assert_allclose(out, expected, atol=1e-5)
 
     @pytest.mark.parametrize("norm_mode", ["standard", "none"])
@@ -170,7 +133,7 @@ class TestEncoderLayer:
         config, weights = make_model(num_layers=2, hidden_dim=4, num_heads=2, ffn_dim=6,
                                      norm_mode=norm_mode, seed=13)
         tokens = [1, 5, 2]
-        states = forward_hidden_states(config, weights, tokens)
+        states = sequence_states(config, weights, tokens)
         oracle = forward_oracle(config, weights, tokens)
         assert len(states) == len(oracle)
         for got, want in zip(states, oracle):
@@ -185,7 +148,7 @@ class TestEncoderLayer:
                                      ffn_dim=int(rng.integers(1, 9)), seed=seed)
         n = int(rng.integers(1, 6))
         x = rng.standard_normal((n, d)).astype(np.float32)
-        assert encoder_layer(config, weights, 0, x).shape == (n, d)
+        assert encoder_layer(config, weights, 0, x, ((1, n),)).shape == (n, d)
 
 
 class TestTaps:
@@ -207,7 +170,7 @@ class TestTaps:
     def test_frames_surface_every_hidden_state(self, tiny_model):
         config, weights = tiny_model
         tokens = [2, 9, 7]
-        states = forward_hidden_states(config, weights, tokens)
+        states = sequence_states(config, weights, tokens)
         frames = list(forward_with_taps(config, weights, tokens))
         assert len(states) == config.num_layers + 1
         for t, frame in enumerate(frames):
@@ -218,24 +181,24 @@ class TestTaps:
     def test_first_output_is_embedding(self, tiny_model):
         config, weights = tiny_model
         tokens = [3, 1]
-        rows = embed(config, weights, tokens)
+        rows = embed(config, weights, one_block(config, tokens))
         for frame in forward_with_taps(config, weights, tokens):
             npt.assert_array_equal(frame.layer_outputs[0], rows[frame.token_index])
 
     def test_determinism(self, tiny_model):
         config, weights = tiny_model
         tokens = [1, 2, 3]
-        first = forward_hidden_states(config, weights, tokens)
-        second = forward_hidden_states(config, weights, tokens)
+        first = sequence_states(config, weights, tokens)
+        second = sequence_states(config, weights, tokens)
         for a, b in zip(first, second):
             npt.assert_array_equal(a, b)
 
     def test_final_state_is_last_layer(self):
         for norm_mode in ("standard", "none"):
             config, weights = make_model(num_layers=3, norm_mode=norm_mode, seed=5)
-            for tokens in ([1, 2], np.array([[1, 2, 3], [4, 5, 6]])):
+            for tokens in ([1, 2], [4, 5, 6]):
                 final = final_hidden_state(config, weights, tokens)
-                last = forward_hidden_states(config, weights, tokens)[-1]
+                last = sequence_states(config, weights, tokens)[-1]
                 assert final.shape == last.shape
                 npt.assert_array_equal(final.view(np.uint32), last.view(np.uint32))
 
@@ -243,11 +206,11 @@ class TestTaps:
         config, weights = make_model(num_layers=0)
         tokens = [1, 2]
         npt.assert_array_equal(final_hidden_state(config, weights, tokens),
-                               embed(config, weights, tokens))
+                               embed(config, weights, one_block(config, tokens)))
 
 
 class TestBatches:
-    """A (B, n) batch gives each sequence exactly its single-sequence states."""
+    """A block of one (B, n) batch gives each sequence exactly its single-sequence states."""
 
     @pytest.mark.parametrize("norm_mode", ["standard", "none"])
     @pytest.mark.parametrize("layers, d, heads, ffn, batch, n", [
@@ -263,22 +226,26 @@ class TestBatches:
         config, weights = make_model(num_layers=layers, hidden_dim=d, num_heads=heads,
                                      ffn_dim=ffn, vocab_size=30, max_seq_len=128,
                                      norm_mode=norm_mode, seed=d + n)
-        ids = np.random.default_rng(n).integers(0, 30, size=(batch, n))
-        states = forward_hidden_states(config, weights, ids)
+        sequences = np.random.default_rng(n).integers(0, 30, size=(batch, n)).tolist()
+        (block,) = row_blocks(TokenDataset(sequences), config)
+        assert block.segments == ((batch, n),)
+        states = forward_hidden_states(config, weights, block)
         assert len(states) == layers + 1
+        parts = [dict(block.split(state)) for state in states]
         for b in range(batch):
-            single = forward_hidden_states(config, weights, ids[b].tolist())
-            for got, want in zip(states, single):
-                assert got.shape == (batch, n, d)
-                npt.assert_array_equal(got[b], want)
+            single = sequence_states(config, weights, sequences[b])
+            for got, part, want in zip(states, parts, single):
+                assert got.shape == (batch * n, d)
+                npt.assert_array_equal(part[b], want)
 
     def test_encoder_layer_keeps_batch_shape(self, tiny_model):
         config, weights = tiny_model
-        x = np.random.default_rng(4).standard_normal((3, 5, config.hidden_dim)).astype(np.float32)
-        out = encoder_layer(config, weights, 0, x)
+        x = np.random.default_rng(4).standard_normal((3 * 5, config.hidden_dim)).astype(np.float32)
+        out = encoder_layer(config, weights, 0, x, ((3, 5),))
         assert out.shape == x.shape
         for b in range(3):
-            npt.assert_array_equal(out[b], encoder_layer(config, weights, 0, x[b]))
+            rows = slice(5 * b, 5 * b + 5)
+            npt.assert_array_equal(out[rows], encoder_layer(config, weights, 0, x[rows], ((1, 5),)))
 
 
 class TestRowBlocks:
@@ -299,7 +266,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(seed + 50)
         sequences = [rng.integers(0, 30, int(rng.integers(1, max_len + 1))).tolist()
                      for _ in range(60)]
-        blocks = row_blocks(sequences, config)
+        blocks = row_blocks(TokenDataset(sequences), config)
         assert sum(len(block.segments) > 1 for block in blocks) >= 2
         checked = 0
         for block in blocks:
@@ -308,7 +275,7 @@ class TestRowBlocks:
             assert [state.shape for state in states] == [(rows, d)] * (layers + 1)
             parts = [dict(block.split(state)) for state in states]
             for i in parts[0]:
-                single = forward_hidden_states(config, weights, sequences[i])
+                single = sequence_states(config, weights, sequences[i])
                 for part, want in zip(parts, single):
                     assert np.array_equal(part[i].view(np.uint32), want.view(np.uint32))
                 checked += 1
@@ -318,10 +285,11 @@ class TestRowBlocks:
         config, weights = tiny_model
         sequences = [[1, 2, 3], [4, 5], [6, 7, 8, 9], [10, 11], [12, 13, 14, 15],
                      [16, 17, 18, 19]]
-        block, _ = row_blocks(sequences, config)
+        block, _ = row_blocks(TokenDataset(sequences), config)
         assert block.segments == ((2, 2), (1, 3))
         x = embed(config, weights, block)
         out = encoder_layer(config, weights, 0, x, block.segments)
         for i, got in block.split(out):
-            npt.assert_array_equal(
-                got, encoder_layer(config, weights, 0, embed(config, weights, sequences[i])))
+            single = one_block(config, sequences[i])
+            npt.assert_array_equal(got, encoder_layer(config, weights, 0, embed(config, weights, single),
+                                                      single.segments))

@@ -4,20 +4,26 @@ For each writer a valid object loads back equal. A copy with one field, or
 one element of a field, swapped for a value of another type is either
 written and loads back equal, or refused with ValidationError before any
 file exists; never written as a file its loader refuses, and never a
-TypeError or other stray exception.
+TypeError or other stray exception. A dataset that `save_dataset` refuses
+is refused the same way by everything that runs one through a model.
 """
 
+import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from asc.data import TokenDataset, load_dataset, save_dataset
+from asc import data
+from asc.data import TokenDataset, load_dataset, row_blocks, save_dataset
 from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
 from asc.planner import MODE_RANDOM, PrunePlan, load_plan, plan_random, write_plan
-from asc.similarity import SimilarityMatrix, load_matrix_csv, write_matrix_csv
+from asc.similarity import SimilarityMatrix, analyze, load_matrix_csv, write_matrix_csv
+from asc.surgery import compare_models
 from conftest import make_model, other_typed
+
+HUGE = 10 ** 5000  # more digits than str() and int() convert; no loader reads it
 
 
 def swaps(value):
@@ -106,17 +112,64 @@ def test_write_matrix_csv(tmp_path):
                         field_swaps(matrix)) == []
 
 
+DATASET = TokenDataset([[1, 2], [3]])
+# (label, factory) of datasets that no dataset file holds
+DATASET_REFUSALS = [*field_swaps(DATASET),
+                    ("empty sequence", lambda: TokenDataset([[1, 2], [], [3]])),
+                    ("negative id", lambda: TokenDataset([[1, -2], [3]])),
+                    ("tuple sequence", lambda: TokenDataset([(1, 2), [3]])),
+                    ("tuple sequences", lambda: TokenDataset([(1, 2), (3,)])),
+                    ("int sequence", lambda: TokenDataset([5])),
+                    ("no sequences", lambda: TokenDataset(None)),
+                    ("id beyond digit limit", lambda: TokenDataset([[1, HUGE]]))]
+
+
 def test_save_dataset(tmp_path):
-    dataset = TokenDataset([[1, 2], [3]])
-    cases = [*field_swaps(dataset),
-             ("empty sequence", lambda: TokenDataset([[1, 2], [], [3]])),
-             ("negative id", lambda: TokenDataset([[1, -2], [3]])),
-             ("tuple sequence", lambda: TokenDataset([(1, 2), [3]]))]
     assert check_writer(tmp_path, save_dataset, load_dataset,
-                        lambda got, want: got.sequences == want.sequences, dataset, cases) == []
+                        lambda got, want: got.sequences == want.sequences, DATASET,
+                        DATASET_REFUSALS) == []
 
 
-HUGE = 10 ** 5000  # more digits than str() and int() convert; no loader reads it
+CONFIG, WEIGHTS = make_model(num_layers=1)
+DATASET_READERS = {
+    "row_blocks": lambda dataset: row_blocks(dataset, CONFIG),
+    "analyze": lambda dataset: analyze(CONFIG, WEIGHTS, dataset),
+    "analyze --workers 2": lambda dataset: analyze(CONFIG, WEIGHTS, dataset, workers=2),
+    "compare_models": lambda dataset: compare_models(CONFIG, WEIGHTS, CONFIG, WEIGHTS, dataset),
+}
+
+
+@pytest.mark.parametrize("reader", list(DATASET_READERS))
+def test_dataset_refused_alike_by_every_reader(tmp_path, monkeypatch, reader):
+    """Each dataset that `save_dataset` refuses gets its ValidationError, word
+    for word, from `row_blocks`, `analyze` (1 and 2 workers) and
+    `compare_models`, before any file or child process exists."""
+    read = DATASET_READERS[reader]
+    monkeypatch.setattr(data, "usable_cores", lambda: 2)
+    read(DATASET)
+
+    def forked():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "fork", forked)
+    broken = []
+    for label, factory in DATASET_REFUSALS:
+        try:
+            save_dataset(factory(), tmp_path / "out")
+            broken.append(f"{label}: saved")
+            continue
+        except ValidationError as exc:
+            refusal = str(exc)
+        try:
+            read(factory())
+            broken.append(f"{label}: accepted")
+        except ValidationError as exc:
+            if str(exc) != refusal:
+                broken.append(f"{label}: said {exc} instead of {refusal}")
+        except Exception as exc:  # noqa: BLE001 - the rule is that nothing else escapes
+            broken.append(f"{label}: raised {exc!r}")
+    assert broken == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def _huge_int_cases():

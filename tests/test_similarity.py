@@ -25,7 +25,7 @@ from asc.similarity import (
     write_matrix_csv,
 )
 from conftest import make_model
-from oracles import add_frame, cosine, forward_with_taps
+from oracles import add_frame, cosine, forward_with_taps, sequence_states
 
 
 def analyze_oracle(config, weights, dataset):
@@ -145,8 +145,8 @@ class TestAccumulator:
     def test_merge_equals_single_accumulator(self, tiny_model):
         config, weights = tiny_model
         size = config.num_layers + 1
-        states_a = forward_hidden_states(config, weights, [1, 2, 3])
-        states_b = forward_hidden_states(config, weights, [4, 5])
+        states_a = sequence_states(config, weights, [1, 2, 3])
+        states_b = sequence_states(config, weights, [4, 5])
         combined = SimilarityAccumulator(size)
         combined.add_states(states_a)
         combined.add_states(states_b)
@@ -301,7 +301,7 @@ class TestAnalyze:
         scaled_layer = 1
         plain, scaled = SimilarityAccumulator(size), SimilarityAccumulator(size)
         for seq in [[1, 2, 3], [4, 5]]:
-            states = forward_hidden_states(config, weights, seq)
+            states = sequence_states(config, weights, seq)
             plain.add_states(states)
             states_scaled = list(states)
             states_scaled[scaled_layer] = states_scaled[scaled_layer] * np.float32(2.5)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from asc import forward, surgery, synth
 from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
-from asc.forward import forward_hidden_states
 from asc.model import ModelWeights, load_model, save_model
 from asc.planner import PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
@@ -240,9 +239,9 @@ def layer_runs(monkeypatch):
     runs = {"a": [], "b": []}
 
     def counting(model, real):
-        def layer(config, weights, k, x, *segments):
+        def layer(config, weights, k, rows, segments):
             runs[model].append(k)
-            return real(config, weights, k, x, *segments)
+            return real(config, weights, k, rows, segments)
         return layer
 
     monkeypatch.setattr(forward, "encoder_layer", counting("a", forward.encoder_layer))
@@ -319,7 +318,7 @@ class TestCompareReuse:
             weights_b = with_tensor(weights, "embed.token", lambda t: np.nextafter(t, np.inf, out=t))
         dataset = mixed_lengths()
         assert_exact(config, weights, config_b, weights_b, dataset)
-        blocks = len(row_blocks(dataset.sequences, config))
+        blocks = len(row_blocks(dataset, config))
         assert layer_runs["b"] == list(range(PLANTED_LAYERS)) * blocks
 
     def test_layer_ids_that_a_lacks(self, layer_runs):
@@ -358,7 +357,7 @@ class TestCompareRowBlocks:
         rng = np.random.default_rng(63)
         dataset = TokenDataset([rng.integers(0, 30, size=int(rng.integers(1, 13))).tolist()
                                 for _ in range(40)])
-        blocks = row_blocks(dataset.sequences, config)
+        blocks = row_blocks(dataset, config)
         assert len(blocks) >= 3 and any(len(block.segments) > 1 for block in blocks)
         for redundant in [(), (4,), (2, 3, 6), (1, 5, 8)]:
             pruned = apply_plan(config, weights, asc_plan(redundant, ()))

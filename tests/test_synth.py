@@ -8,6 +8,7 @@ from asc.errors import ValidationError
 from asc.forward import embed, encoder_layer
 from asc.model import save_model
 from asc.similarity import analyze
+from oracles import one_block
 
 
 class TestGenModel:
@@ -33,10 +34,27 @@ class TestGenModel:
         config, weights = synth.gen_model(num_layers=3, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=25,
                                           identity_layers=[1, 3], seed=18, max_seq_len=12)
-        x = embed(config, weights, [5, 11, 2, 24])
-        npt.assert_array_equal(encoder_layer(config, weights, 0, x), x)
-        y = encoder_layer(config, weights, 1, x)
-        npt.assert_array_equal(encoder_layer(config, weights, 2, y), y)
+        block = one_block(config, [5, 11, 2, 24])
+        x = embed(config, weights, block)
+        npt.assert_array_equal(encoder_layer(config, weights, 0, x, block.segments), x)
+        y = encoder_layer(config, weights, 1, x, block.segments)
+        npt.assert_array_equal(encoder_layer(config, weights, 2, y, block.segments), y)
+
+    @pytest.mark.parametrize("max_seq_len, length", [(1, 1), (10, 10), (128, 16)])
+    def test_probe_runs_as_one_batch(self, monkeypatch, max_seq_len, length):
+        """The probe is one block of 4 equal-length sequences, a length-1 probe
+        included, which `row_blocks` would run one sequence at a time."""
+        real_layer = synth.encoder_layer
+        seen = set()
+
+        def layer(config, weights, k, rows, segments):
+            seen.add((rows.shape, segments))
+            return real_layer(config, weights, k, rows, segments)
+
+        monkeypatch.setattr(synth, "encoder_layer", layer)
+        synth.gen_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=16, vocab_size=25,
+                        identity_layers=[2], seed=3, max_seq_len=max_seq_len)
+        assert seen == {((4 * length, 8), ((4, length),))}
 
     def test_broken_passthrough_raises(self, monkeypatch):
         # an explicit error, so the check also holds under `python -O`
