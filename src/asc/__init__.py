@@ -1,7 +1,7 @@
 """Layer-similarity analysis and structured layer pruning for small encoder stacks."""
 
 from .data import TokenDataset, load_dataset, save_dataset
-from .errors import AscError, FormatError, ShapeError, ValidationError
+from .errors import AscError, FormatError, ValidationError
 from .forward import forward_hidden_states
 from .model import ModelConfig, ModelWeights, load_model, save_model
 from .planner import PrunePlan, load_plan, plan, plan_random, write_plan
@@ -16,7 +16,6 @@ __all__ = [
     "ModelConfig",
     "ModelWeights",
     "PrunePlan",
-    "ShapeError",
     "SimilarityMatrix",
     "TokenDataset",
     "ValidationError",

@@ -14,10 +14,6 @@ class ValidationError(AscError):
     """An argument or in-memory object violates a documented invariant."""
 
 
-class ShapeError(ValidationError):
-    """Tensor dimensions are inconsistent for the requested operation."""
-
-
 class FormatError(AscError):
     """A file (model container, matrix CSV, plan JSON, dataset) is malformed."""
 

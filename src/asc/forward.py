@@ -7,6 +7,7 @@ skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
 
 The input is a `data.RowBlock`, whose ids `data.row_blocks` has checked.
+Only `forward_hidden_states` checks the model (`model.check_model`).
 Every state is (rows, d), one row per token, with each sequence's rows
 consecutive and each length segment's (B, n) sequences in one run; there
 is no padding and no mask. Embedding, projections, the FFN and the
@@ -20,6 +21,7 @@ import math
 import numpy as np
 
 from . import tensor_ops
+from .model import check_model
 
 
 def embed(config, weights, block) -> np.ndarray:
@@ -87,6 +89,12 @@ def encoder_layer(config, weights, k, rows, segments) -> np.ndarray:
 
 
 def forward_hidden_states(config, weights, block) -> list:
+    """`hidden_states`, once `model.check_model` accepts the model."""
+    check_model(config, weights)
+    return hidden_states(config, weights, block)
+
+
+def hidden_states(config, weights, block) -> list:
     """All L+1 (rows, d) hidden states of a `RowBlock`, computed in a single pass."""
     states = [embed(config, weights, block)]
     for k in range(config.num_layers):

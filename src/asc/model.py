@@ -126,8 +126,10 @@ def tensor_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
-def validate_weights(config: ModelConfig, weights: ModelWeights):
-    """Check the tensor name set, shapes, dtype, and finiteness."""
+def check_model(config: ModelConfig, weights: ModelWeights):
+    """The structural rule: a valid config and exactly the schema's tensors,
+    each a float32 array of its schema shape. It reads no tensor value."""
+    config.validate()
     expected = tensor_shapes(config)
     names = set(weights.tensors)
     missing = sorted(set(expected) - names)
@@ -146,6 +148,12 @@ def validate_weights(config: ModelConfig, weights: ModelWeights):
             )
         if tensor.dtype != np.float32:
             raise ValidationError(f"weights: tensor {name!r} has dtype {tensor.dtype}, expected float32")
+
+
+def validate_weights(config: ModelConfig, weights: ModelWeights):
+    """`check_model`, then a scan that every tensor value is finite."""
+    check_model(config, weights)
+    for name, tensor in weights.tensors.items():
         if not np.all(np.isfinite(tensor)):
             raise ValidationError(f"weights: tensor {name!r} contains non-finite values")
 
@@ -170,7 +178,6 @@ def _payload_layout(config: ModelConfig):
 
 def save_model(config: ModelConfig, weights: ModelWeights, path):
     """Write the container file; rejects invalid models before touching disk."""
-    config.validate()
     validate_weights(config, weights)
     layout, _ = _payload_layout(config)
     header = {"version": FORMAT_VERSION, "config": config.to_dict(), "tensors": layout}
@@ -183,9 +190,9 @@ def save_model(config: ModelConfig, weights: ModelWeights, path):
             cursor = 0
             for name, entry in layout.items():
                 handle.write(b"\0" * (entry["offset"] - cursor))
-                data = weights.tensors[name].astype("<f4", copy=False).tobytes()
+                data = np.ascontiguousarray(weights.tensors[name], dtype="<f4")
                 handle.write(data)
-                cursor = entry["offset"] + len(data)
+                cursor = entry["offset"] + data.nbytes
     except OSError as exc:
         raise OSError(f"failed to write model file {path}: {exc}") from exc
 

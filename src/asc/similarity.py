@@ -18,7 +18,8 @@ import numpy as np
 from . import data
 from .errors import FormatError, ValidationError, require_int
 from .fileio import atomic_write, read_text
-from .forward import forward_hidden_states
+from .forward import hidden_states
+from .model import check_model
 from .tensor_ops import single_threaded_blas, unit_rows
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$", re.ASCII)
@@ -105,7 +106,9 @@ class SimilarityAccumulator:
         values = upper + upper.T
         np.fill_diagonal(values, 1.0)
         np.clip(values, -1.0, 1.0, out=values)
-        return SimilarityMatrix(values=values, token_count=self._count)
+        matrix = SimilarityMatrix(values=values, token_count=self._count)
+        matrix.validate()  # a NaN or inf state leaves non-finite sums
+        return matrix
 
 
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
@@ -118,9 +121,11 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     one length still fills every worker. Shard 0 runs in this process and
     each other shard in a forked child (see `_map_shards`). Each worker
     owns a private sum matrix, and the shards are merged in fixed worker
-    order, so results are stable to within addition reordering.
+    order, so results are stable to within addition reordering. The model
+    is checked once, before any fork.
     """
     workers = require_int("workers", workers, 1)
+    check_model(config, weights)
     if config.num_layers == 0:
         raise ValidationError("cannot analyze a model with no encoder layers")
     size = config.num_layers + 1
@@ -132,7 +137,7 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     def run_shard(shard):
         acc = SimilarityAccumulator(size)
         for block in shard:
-            acc.add_states(forward_hidden_states(config, weights, block))
+            acc.add_states(hidden_states(config, weights, block))
         return acc
 
     merged, *rest = _map_shards(run_shard, blocks, pool)

@@ -12,13 +12,14 @@ import numpy as np
 
 from .data import row_blocks
 from .errors import ValidationError
-from .forward import embed, encoder_layer, forward_hidden_states
-from .model import ModelWeights, layer_shapes
+from .forward import embed, encoder_layer, hidden_states
+from .model import ModelWeights, check_model, layer_shapes
 from .tensor_ops import unit_rows
 
 
 def apply_plan(config, weights, plan):
     """Drop the plan's redundant layers and renumber the survivors."""
+    check_model(config, weights)
     num_layers = config.num_layers
     bad = [i for i in plan.redundant_layers if not 1 <= i <= num_layers]
     if bad:
@@ -83,8 +84,11 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
     Where B's slot holds one of A's layers (same id, same tensor bits) and
     B's input to it has the bits of that layer's input in A, B takes A's
     output instead of running the layer: the same tensors on the same bits
-    give the same bits.
+    give the same bits. Both models are checked once, and a NaN or inf
+    final state is refused, not reported.
     """
+    check_model(config_a, weights_a)
+    check_model(config_b, weights_b)
     if config_a.hidden_dim != config_b.hidden_dim:
         raise ValidationError(
             f"models have different hidden dims: {config_a.hidden_dim} vs {config_b.hidden_dim}"
@@ -98,7 +102,7 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
     cos_min = np.inf
     diff_max = 0.0
     for block in blocks:
-        states_a = forward_hidden_states(config_a, weights_a, block)
+        states_a = hidden_states(config_a, weights_a, block)
         state = states_a[0] if same_embed else embed(config_b, weights_b, block)
         for s in range(config_b.num_layers):
             k = pairs.get(s)
@@ -108,6 +112,8 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset) -> Diverge
                 state = encoder_layer(config_b, weights_b, s, state, block.segments)
         out_a = states_a[-1].astype(np.float64)
         out_b = state.astype(np.float64)
+        if not (np.isfinite(out_a).all() and np.isfinite(out_b).all()):
+            raise ValidationError("the models' final-layer states hold non-finite values")
         unit_a = unit_rows(out_a)
         cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
         # bit-identical live rows (non-zero unit vectors) score exactly 1,

@@ -2,7 +2,8 @@
 
 Storage is float32 throughout; every reduction (matmul accumulators, dot
 products, norms, row statistics) runs in float64 so that averages over
-large token counts do not drift.
+large token counts do not drift. The kernels check no shapes: they trust
+those of a model that `model.check_model` accepted at the library's entry.
 """
 
 import ctypes
@@ -13,8 +14,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-
-from .errors import ShapeError
 
 # tanh-approximation coefficient, sqrt(2/pi) truncated to this exact value
 # so outputs are reproducible across implementations.
@@ -34,15 +33,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Operands may be stacks of matrices, (..., m, k) x (..., k, n); each
     slice is multiplied as a 2-D product, as in `np.matmul`.
     """
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, with per-row max subtraction for stability."""
-    if x.ndim < 2:
-        raise ShapeError(f"softmax_rows: expected at least 2-D input, got shape {x.shape}")
     shifted = x.astype(np.float64)
     shifted -= shifted.max(axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
@@ -53,10 +48,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Normalize each last-axis row to zero mean / unit population variance,
     then scale and shift."""
-    if x.ndim < 2 or gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
-        raise ShapeError(
-            f"layernorm: x {x.shape} incompatible with gamma {gamma.shape}, beta {beta.shape}"
-        )
     x64 = x.astype(np.float64)
     mean = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from asc.data import TokenDataset, row_blocks
-from asc.errors import ShapeError, ValidationError
+from asc.errors import ValidationError
 from asc.forward import embed, encoder_layer, forward_hidden_states
 from asc.tensor_ops import NORM_EPS
 
@@ -24,7 +24,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     registers as maximally dissimilar instead of raising.
     """
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise ShapeError(f"cosine: incompatible shapes {u.shape} and {v.shape}")
+        raise ValidationError(f"cosine: incompatible shapes {u.shape} and {v.shape}")
     u64 = u.astype(np.float64)
     v64 = v.astype(np.float64)
     norm_u = np.sqrt(np.dot(u64, u64))

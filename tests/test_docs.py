@@ -1,7 +1,7 @@
 """The README's examples stay in step with the code: every `asc ...` command
 in its `sh` blocks parses, so a removed option cannot linger there, every
 Python block runs and prints what it says, and the plan-file keys it lists
-are `PrunePlan`'s fields."""
+are `PrunePlan`'s fields, and every public name is shown in its code."""
 
 import re
 import shlex
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import asc
 from asc.cli import build_parser
 from asc.planner import PrunePlan
 
@@ -59,3 +60,12 @@ def test_readme_plan_keys_are_prune_plan_fields():
     keys = [key.strip() for key in listed.split(",")]
     assert keys == ["version", *(f"{f.name}?" if f.name == "seed" else f.name
                                  for f in fields(PrunePlan))]
+
+
+def test_readme_names_every_public_name():
+    """Each name in `asc.__all__` appears in the README's code: a fenced
+    block or an inline `code` span."""
+    text = README.read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"^```\w*\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+                     + re.findall(r"`([^`\n]+)`", text))
+    assert [name for name in asc.__all__ if not re.search(rf"\b{name}\b", code)] == []

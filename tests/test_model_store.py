@@ -189,6 +189,18 @@ class TestRoundTrip:
         assert loaded_config.num_layers == 0
         assert set(loaded_weights.tensors) == {"embed.token", "embed.pos"}
 
+    def test_non_contiguous_tensor_saves_its_values(self, tmp_path):
+        """A transposed or strided view is written as its values, the same
+        bytes as its contiguous copy."""
+        config, weights = make_model(num_layers=1)
+        views = dict(weights.tensors)
+        views["layer.0.attn.q.w"] = np.ascontiguousarray(views["layer.0.attn.q.w"].T).T
+        views["embed.pos"] = np.repeat(views["embed.pos"], 2, axis=0)[::2]
+        assert not any(views[name].flags.c_contiguous for name in ("layer.0.attn.q.w", "embed.pos"))
+        save_model(config, ModelWeights(views), tmp_path / "views.ascm")
+        save_model(config, weights, tmp_path / "copies.ascm")
+        assert (tmp_path / "views.ascm").read_bytes() == (tmp_path / "copies.ascm").read_bytes()
+
     def test_resave_is_byte_identical(self, tmp_path):
         config, weights = synth.gen_model(num_layers=2, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=30, identity_layers=[1],

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from asc import cli, data, similarity, synth, tensor_ops
 from asc.data import TokenDataset, save_dataset
 from asc.errors import FormatError, ValidationError
-from asc.forward import forward_hidden_states
+from asc.forward import hidden_states
 from asc.model import save_model
 from asc.similarity import (
     SimilarityAccumulator,
@@ -55,9 +55,9 @@ def log_blocks(monkeypatch, log, barrier=None):
             handle.write(f"{(os.getpid(), block.segments)!r}\n")
         if barrier is not None:
             barrier.wait()
-        return forward_hidden_states(config, weights, block)
+        return hidden_states(config, weights, block)
 
-    monkeypatch.setattr(similarity, "forward_hidden_states", logged)
+    monkeypatch.setattr(similarity, "hidden_states", logged)
 
 
 def take_logged_blocks(log) -> list:
@@ -479,9 +479,9 @@ class TestForkedShards:
 
         def forward_or_die(config, weights, block):
             die_in_child()
-            return forward_hidden_states(config, weights, block)
+            return hidden_states(config, weights, block)
 
-        monkeypatch.setattr(similarity, "forward_hidden_states", forward_or_die)
+        monkeypatch.setattr(similarity, "hidden_states", forward_or_die)
         capsys.readouterr()
         code = cli.main(["analyze", "--model", str(tmp_path / "model.ascm"),
                          "--data", str(tmp_path / "data.txt"),

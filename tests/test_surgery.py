@@ -235,7 +235,7 @@ def with_tensor(weights, name, edit):
 
 @pytest.fixture
 def layer_runs(monkeypatch):
-    """Slots run per model: A's layers run inside forward_hidden_states, B's in surgery."""
+    """Slots run per model: A's layers run inside forward.hidden_states, B's in surgery."""
     runs = {"a": [], "b": []}
 
     def counting(model, real):
