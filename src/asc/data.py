@@ -5,7 +5,6 @@ digits, separated by ASCII whitespace; lines starting with ``#`` and blank
 lines are ignored.
 """
 
-import os
 import re
 import string
 from dataclasses import dataclass, field
@@ -49,57 +48,15 @@ class TokenDataset:
                     f"dataset: sequence {n} is not a non-empty list of ints >= 0: {shown(seq)}")
 
 
-def usable_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def length_batches(dataset, config, *more_configs, workers=1) -> list:
-    """Group a dataset's sequences by exact length into `(indices, ids)` batches.
-
-    This is where a dataset's ids are checked, before any array is built:
-    first `dataset.validate()`, then each length group's length and largest
-    id against every config. `ids` is the (B, n) int64 array of
-    `dataset.sequences[i]` for each `i` in `indices` (ascending); a batch
-    holds at most MAX_BATCH_ROWS tokens, and at most ceil(tokens / `workers`)
-    of the dataset's, unless it is one sequence.
-    Length-1 sequences run alone: a one-row product is a BLAS matrix-vector
-    call, whose rounding differs from the matrix-matrix call of a taller
-    batch, and a batch must give each sequence exactly its own states.
-    """
-    dataset.validate()
-    sequences = dataset.sequences
-    by_length = {}
-    for i, seq in enumerate(sequences):
-        by_length.setdefault(len(seq), []).append(i)
-    for n, indices in by_length.items():
-        top = max(max(sequences[i]) for i in indices)
-        for cfg in (config, *more_configs):
-            if n > cfg.max_seq_len:
-                raise ValidationError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
-            if top >= cfg.vocab_size:
-                bad = next(t for i in indices for t in sequences[i] if t >= cfg.vocab_size)
-                raise ValidationError(f"token id {bad} out of range [0, {cfg.vocab_size})")
-    max_rows = min(MAX_BATCH_ROWS, -(-dataset.total_tokens // workers))
-    batches = []
-    for n, indices in by_length.items():
-        ids = np.array([sequences[i] for i in indices], dtype=np.int64)
-        step = 1 if n == 1 else max(1, max_rows // n)
-        batches.extend((indices[lo: lo + step], ids[lo: lo + step])
-                       for lo in range(0, len(indices), step))
-    return batches
-
-
 @dataclass(frozen=True)
 class RowBlock:
     """Whole checked length batches: the forward pass's one input, run as one block of rows.
 
-    `batches` are `length_batches` entries in ascending sequence length, one
-    length segment each. A block's states are (rows, d): each sequence's rows
-    are consecutive, in segment order and then in each batch's index order.
+    `batches` are `(indices, ids)` pairs in ascending sequence length, one
+    length segment each: `ids` is the (B, n) int64 array of
+    `dataset.sequences[i]` for each `i` in `indices` (ascending). A block's
+    states are (rows, d): each sequence's rows are consecutive, in segment
+    order and then in each batch's index order.
     """
 
     batches: tuple
@@ -120,27 +77,54 @@ class RowBlock:
 
 
 def row_blocks(dataset, config, *more_configs, workers=1) -> list:
-    """A dataset's `length_batches`, checked against every config and packed
-    shortest length first into `RowBlock`s.
+    """The one batching rule: check a dataset, group its sequences by exact
+    length into `(indices, ids)` batches, and pack them shortest length first
+    into `RowBlock`s.
 
-    Batches join a block while it holds no more token rows than the largest
-    batch, so no block needs more memory than that batch; and a length-1
-    batch runs alone, as `length_batches` requires. Only attention needs
-    equal lengths, so a block runs its token-wise work once over all rows.
+    The ids are checked before any array is built: `dataset.validate()`, then
+    each length group's length and largest id against every config. A batch
+    holds at most MAX_BATCH_ROWS tokens and at most ceil(tokens / `workers`),
+    unless it is one sequence. Batches join a block while it holds no more
+    token rows than the largest batch, so no block needs more memory than that
+    batch; only attention needs equal lengths, so a block runs its token-wise
+    work once over all rows. A length-1 sequence is a block alone: a one-row
+    product is a BLAS matrix-vector call, whose rounding differs from the
+    matrix-matrix call of a taller block, and each sequence must get exactly
+    its own states.
     """
-    batches = sorted(length_batches(dataset, config, *more_configs, workers=workers),
-                     key=lambda batch: batch[1].shape[1])
+    dataset.validate()
+    sequences = dataset.sequences
+    by_length = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    for n, indices in by_length.items():
+        top = max(max(sequences[i]) for i in indices)
+        for cfg in (config, *more_configs):
+            if n > cfg.max_seq_len:
+                raise ValidationError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+            if top >= cfg.vocab_size:
+                bad = next(t for i in indices for t in sequences[i] if t >= cfg.vocab_size)
+                raise ValidationError(f"token id {bad} out of range [0, {cfg.vocab_size})")
+    alone = [RowBlock((([i], np.array([sequences[i]], dtype=np.int64)),))
+             for i in by_length.pop(1, [])]
+    max_rows = min(MAX_BATCH_ROWS, -(-dataset.total_tokens // workers))
+    batches = []
+    for n in sorted(by_length):
+        indices = by_length[n]
+        ids = np.array([sequences[i] for i in indices], dtype=np.int64)
+        step = max(1, max_rows // n)
+        batches.extend((indices[lo: lo + step], ids[lo: lo + step])
+                       for lo in range(0, len(indices), step))
     cap = max((ids.size for _, ids in batches), default=0)
     blocks, rows = [], 0
     for batch in batches:
-        # ascending lengths: a block whose last batch is longer than 1 takes no length-1 batch
-        if blocks and blocks[-1][-1][1].shape[1] > 1 and rows + batch[1].size <= cap:
+        if blocks and rows + batch[1].size <= cap:
             blocks[-1].append(batch)
             rows += batch[1].size
         else:
             blocks.append([batch])
             rows = batch[1].size
-    return [RowBlock(tuple(block)) for block in blocks]
+    return alone + [RowBlock(tuple(block)) for block in blocks]
 
 
 def load_dataset(path) -> TokenDataset:

@@ -129,6 +129,12 @@ def tensor_shapes(config: ModelConfig) -> dict:
 def check_model(config: ModelConfig, weights: ModelWeights):
     """The structural rule: a valid config and exactly the schema's tensors,
     each a float32 array of its schema shape. It reads no tensor value."""
+    if not isinstance(config, ModelConfig):
+        raise ValidationError(f"config must be a ModelConfig, got {type(config).__name__}")
+    if not isinstance(weights, ModelWeights):
+        raise ValidationError(f"weights must be a ModelWeights, got {type(weights).__name__}")
+    if not isinstance(weights.tensors, dict):
+        raise ValidationError(f"weights: tensors must be a dict, got {type(weights.tensors).__name__}")
     config.validate()
     expected = tensor_shapes(config)
     names = set(weights.tensors)
@@ -141,7 +147,8 @@ def check_model(config: ModelConfig, weights: ModelWeights):
     for name, shape in expected.items():
         tensor = weights.tensors[name]
         if not isinstance(tensor, np.ndarray):
-            raise ValidationError(f"weights: tensor {name!r} is not an array: {tensor!r}")
+            raise ValidationError(
+                f"weights: tensor {name!r} is not an array, got {type(tensor).__name__}")
         if tuple(tensor.shape) != shape:
             raise ValidationError(
                 f"weights: tensor {name!r} has shape {tuple(tensor.shape)}, expected {shape}"

@@ -6,11 +6,16 @@ Sums are kept in float64 and divided once at finalize; the result is
 mirrored from the upper triangle and the diagonal forced to exactly 1.0.
 """
 
+import ctypes
+import functools
+import glob
 import os
 import pickle
 import re
 import signal
 import string
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,7 @@ from .errors import FormatError, ValidationError, require_int
 from .fileio import atomic_write, read_text
 from .forward import hidden_states
 from .model import check_model
-from .tensor_ops import single_threaded_blas, unit_rows
+from .tensor_ops import unit_rows
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$", re.ASCII)
 # ASCII decimals as `repr(float)` writes them; float() alone would also read
@@ -129,7 +134,7 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     if config.num_layers == 0:
         raise ValidationError("cannot analyze a model with no encoder layers")
     size = config.num_layers + 1
-    pool = min(workers, data.usable_cores())
+    pool = min(workers, usable_cores())
     blocks = data.row_blocks(dataset, config, workers=pool)
     if not blocks:
         raise ValidationError("cannot analyze an empty dataset (0 tokens)")
@@ -146,6 +151,63 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     return merged.finalize()
 
 
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when numpy links another BLAS build."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            # the path numpy loaded, so this is the same library, not a copy
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# held for a pool's whole life, so pools entered from several threads take turns
+_pool_lock = threading.Lock()
+
+
+@contextmanager
+def single_threaded_blas():
+    """Run the block under `_pool_lock` with BLAS on one thread, then restore
+    the count read on entry.
+
+    For worker pools whose workers each call BLAS: BLAS's own threads would
+    compete with the workers for the same cores, and children forked inside
+    the block inherit the one-thread count. The count is process-wide, so
+    the lock keeps a second pool from reading the first one's pin. Children
+    never take the lock: they leave through `os._exit`. The count is left
+    alone when numpy's BLAS is not the bundled OpenBLAS.
+    """
+    with _pool_lock:
+        handle = _openblas_threads()
+        if handle is None:
+            yield
+            return
+        get, set_ = handle
+        restore = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(restore)
+
+
 # kept private (perfbench's tracer wraps public names) so worker spans stay under analyze
 def _map_shards(fn, items, workers: int) -> list:
     """`fn(shard)` for each round-robin shard of `items`, in shard order.
@@ -153,10 +215,11 @@ def _map_shards(fn, items, workers: int) -> list:
     There are `workers` shards, or fewer: at most one per item. Shard 0 runs
     in the calling process and each other shard in a forked child, which
     sends back its result, or the exception it raised, through a pipe.
-    BLAS is pinned to one thread from before the first fork until every
-    child is reaped, so children inherit the pin. The first failed shard's
-    exception is raised in shard order; a child that ends without a result
-    raises `ChildProcessError`. With one shard, or where `os.fork` does not
+    From before the first fork until every child is reaped, the pool holds
+    `_pool_lock` and BLAS is pinned to one thread, which children inherit
+    (`single_threaded_blas`). The first failed shard's exception is raised
+    in shard order; a child that ends without a result raises
+    `ChildProcessError`. With one shard, or where `os.fork` does not
     exist, the shards run inline one after another, with BLAS untouched.
     """
     workers = max(1, min(workers, len(items)))

@@ -6,13 +6,17 @@ from asc import data
 from asc.data import (
     MAX_BATCH_ROWS,
     TokenDataset,
-    length_batches,
     row_blocks,
     load_dataset,
     save_dataset,
 )
 from asc.errors import FormatError, ValidationError
 from conftest import make_model
+
+
+def batches(blocks) -> list:
+    """Every block's `(indices, ids)` batches, flattened in row order."""
+    return [batch for block in blocks for batch in block.batches]
 
 
 def dataset_rule(k: int) -> str:
@@ -70,11 +74,10 @@ class TestFileFormat:
 
 
 class TestIdChecks:
-    """`length_batches`, and so `row_blocks`, check a dataset before any array
-    is built: `TokenDataset.validate`, then each length group's length and
-    largest id against every config."""
+    """`row_blocks` checks a dataset before any array is built:
+    `TokenDataset.validate`, then each length group's length and largest id
+    against every config."""
 
-    @pytest.mark.parametrize("fn", [length_batches, row_blocks])
     @pytest.mark.parametrize("sequences, message", [
         ([[-1, 2]], dataset_rule(0)),
         ([[3, 4], [5, -2]], dataset_rule(1)),
@@ -93,10 +96,10 @@ class TestIdChecks:
     ], ids=["negative", "negative-batch", "float", "float-batch", "bool", "vocab",
             "vocab-batch", "first-of-two", "2**63", "10**20", "4301-digits", "batch-of-empty", "empty",
             "too-long"])
-    def test_refused(self, fn, sequences, message):
+    def test_refused(self, sequences, message):
         config, _ = make_model(vocab_size=20, max_seq_len=16)
         with pytest.raises(ValidationError, match=message):
-            fn(TokenDataset(sequences), config)
+            row_blocks(TokenDataset(sequences), config)
 
     def test_in_range_passes(self, tiny_model):
         config, _ = tiny_model
@@ -104,7 +107,7 @@ class TestIdChecks:
 
     def test_returns_int64_ids(self, tiny_model):
         config, _ = tiny_model
-        ((indices, ids),) = length_batches(TokenDataset([[1, 2], [3, 4]]), config)
+        ((indices, ids),) = batches(row_blocks(TokenDataset([[1, 2], [3, 4]]), config))
         assert indices == [0, 1] and ids.dtype == np.int64 and ids.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize("sequences, message", [
@@ -121,10 +124,9 @@ class TestIdChecks:
 
     LOOP_CONFIG = make_model(vocab_size=20, max_seq_len=16)[0]
 
-    @pytest.mark.parametrize("fn", [length_batches, row_blocks])
     @settings(derandomize=True, deadline=None, max_examples=100, database=None)
     @given(st.lists(st.one_of(st.integers(0, 19), st.integers(-2**70, 2**70)), max_size=18))
-    def test_matches_per_token_loop(self, fn, tokens):
+    def test_matches_per_token_loop(self, tokens):
         """The checks refuse what a per-token loop refuses, with the same
         message, and pass the rest through unchanged."""
         config = self.LOOP_CONFIG
@@ -136,12 +138,11 @@ class TestIdChecks:
             bad = [t for t in tokens if t >= 20]
             expected = f"token id {bad[0]} out of range [0, 20)" if bad else None
         if expected is None:
-            (batch,) = fn(TokenDataset([tokens]), config)
-            ((_, ids),) = batch.batches if fn is row_blocks else (batch,)
+            ((_, ids),) = batches(row_blocks(TokenDataset([tokens]), config))
             assert ids.tolist() == [tokens]
         else:
             with pytest.raises(ValidationError) as exc:
-                fn(TokenDataset([tokens]), config)
+                row_blocks(TokenDataset([tokens]), config)
             assert str(exc.value) == expected
 
     @pytest.mark.parametrize("sequences, k", [([[1.0, 2.0]], 0), ([[True]], 0), ([["1"]], 0),
@@ -167,16 +168,18 @@ class TestIdChecks:
 
 
 class TestLengthBatches:
+    """The `(indices, ids)` batches that `row_blocks` packs into blocks."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_sequence_once_in_a_one_length_batch(self, seed):
         config, _ = make_model(vocab_size=20, max_seq_len=16)
         rng = np.random.default_rng(seed)
         sequences = [rng.integers(0, 20, size=int(rng.integers(1, 17))).tolist()
                      for _ in range(60)]
-        batches = length_batches(TokenDataset(sequences), config)
-        seen = [i for indices, _ in batches for i in indices]
+        flat = batches(row_blocks(TokenDataset(sequences), config))
+        seen = [i for indices, _ in flat for i in indices]
         assert sorted(seen) == list(range(len(sequences)))
-        for indices, ids in batches:
+        for indices, ids in flat:
             assert ids.dtype == np.int64
             assert ids.shape == (len(indices), len(sequences[indices[0]]))
             assert indices == sorted(indices)
@@ -197,7 +200,7 @@ class TestLengthBatches:
         ]:
             monkeypatch.setattr(data, "MAX_BATCH_ROWS", cap)
             chunks = {}
-            for indices, ids in length_batches(TokenDataset(sequences), config):
+            for indices, ids in batches(row_blocks(TokenDataset(sequences), config)):
                 assert ids.size <= cap or len(indices) == 1
                 chunks.setdefault(ids.shape[1], []).append(len(indices))
             assert chunks[100] == of_100 and chunks[300] == of_300
@@ -214,17 +217,13 @@ class TestLengthBatches:
                                      (MAX_BATCH_ROWS, 2, [(4, 2), (1, 2), (2, 3)]),
                                      (4, 2, [(2, 2), (2, 2), (1, 2), (1, 3), (1, 3)])]:
             monkeypatch.setattr(data, "MAX_BATCH_ROWS", cap)
-            batches = length_batches(dataset, config, workers=workers)
-            assert [ids.shape for _, ids in batches] == shapes
+            flat = batches(row_blocks(dataset, config, workers=workers))
+            assert [ids.shape for _, ids in flat] == shapes
 
     def test_length_one_sequences_run_alone(self):
         config, _ = make_model(vocab_size=20)
-        batches = length_batches(TokenDataset([[3], [4], [5, 6], [7, 8]]), config)
-        assert [indices for indices, _ in batches] == [[0], [1], [2, 3]]
-
-    def test_empty_input(self, tiny_model):
-        config, _ = tiny_model
-        assert length_batches(TokenDataset([]), config) == []
+        flat = batches(row_blocks(TokenDataset([[3], [4], [5, 6], [7, 8]]), config))
+        assert [indices for indices, _ in flat] == [[0], [1], [2, 3]]
 
     @pytest.mark.parametrize("bad, message", [
         ([], dataset_rule(1)),
@@ -234,7 +233,7 @@ class TestLengthBatches:
     def test_invalid_sequence_rejected(self, bad, message):
         config, _ = make_model(vocab_size=20, max_seq_len=16)
         with pytest.raises(ValidationError, match=message):
-            length_batches(TokenDataset([[1, 2], bad, [3]]), config)
+            row_blocks(TokenDataset([[1, 2], bad, [3]]), config)
 
     @pytest.mark.parametrize("sequences, message", [
         ([[9, 9]], None),
@@ -248,10 +247,10 @@ class TestLengthBatches:
         wide, _ = make_model(vocab_size=20, max_seq_len=16)
         narrow, _ = make_model(vocab_size=10, max_seq_len=11)
         if message is None:
-            assert len(length_batches(TokenDataset(sequences), wide, narrow)) == 1
+            assert len(batches(row_blocks(TokenDataset(sequences), wide, narrow))) == 1
         else:
             with pytest.raises(ValidationError, match=message):
-                length_batches(TokenDataset(sequences), wide, narrow)
+                row_blocks(TokenDataset(sequences), wide, narrow)
 
     def test_refused_before_any_array_is_built(self, monkeypatch):
         """A bad id in the last length group stops the build before the first
@@ -260,13 +259,8 @@ class TestLengthBatches:
         built = []
         monkeypatch.setattr(np, "array", lambda *args, **kwargs: built.append(args))
         with pytest.raises(ValidationError, match=r"token id 20 out of range"):
-            length_batches(TokenDataset([[1, 2], [3, 4, 5], [6, 20]]), config)
+            row_blocks(TokenDataset([[1, 2], [3, 4, 5], [6, 20]]), config)
         assert built == []
-
-    def test_id_beyond_64_bits_out_of_range(self):
-        config, _ = make_model(vocab_size=20)
-        with pytest.raises(ValidationError, match=r"token id 100000000000000000000 out of range"):
-            length_batches(TokenDataset([[1, 2], [3, 10**20]]), config)
 
 
 class TestRowBlocks:
@@ -278,16 +272,19 @@ class TestRowBlocks:
         rng = np.random.default_rng(seed)
         sequences = [rng.integers(0, 20, size=int(rng.integers(1, 41))).tolist()
                      for _ in range(150)]
-        batches = length_batches(TokenDataset(sequences), config)
-        largest = max(ids.size for _, ids in batches)
+        # the batch rule, spelled out: each length's indices in order, in
+        # runs of max_rows // n sequences (length 1: one sequence a batch)
+        expected = []
+        for n in sorted({len(seq) for seq in sequences}):
+            indices = [i for i, seq in enumerate(sequences) if len(seq) == n]
+            step = 1 if n == 1 else max(1, max_rows // n)
+            expected += [(indices[lo: lo + step], [sequences[i] for i in indices[lo: lo + step]])
+                         for lo in range(0, len(indices), step)]
+        largest = max(len(rows) * len(rows[0]) for _, rows in expected)
         blocks = row_blocks(TokenDataset(sequences), config)
         assert any(len(block.batches) > 1 for block in blocks)
         # each sequence once, in whole length batches
-        seen = [i for block in blocks for indices, _ in block.batches for i in indices]
-        assert sorted(seen) == list(range(len(sequences)))
-        packed = sorted((indices, ids.tolist()) for block in blocks
-                        for indices, ids in block.batches)
-        assert packed == sorted((indices, ids.tolist()) for indices, ids in batches)
+        assert [(indices, ids.tolist()) for indices, ids in batches(blocks)] == expected
         # shortest length first, across and within blocks
         lengths = [n for block in blocks for _, n in block.segments]
         assert lengths == sorted(lengths)

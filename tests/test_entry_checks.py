@@ -1,9 +1,9 @@
 """A model is checked once where it enters the library, with the one rule
 `validate_weights` applies (less its finiteness scan): `analyze`,
-`compare_models`, `apply_plan` and `forward_hidden_states` each refuse a
-malformed in-memory model with the message `validate_weights` gives, and
-`analyze` does so before it forks. A NaN that only some sequences reach is
-refused where the result is made."""
+`compare_models`, `apply_plan`, `forward_hidden_states` and `save_model` each
+refuse a malformed in-memory model with the message `validate_weights`
+gives, and `analyze` does so before it forks. A NaN that only some
+sequences reach is refused where the result is made."""
 
 import os
 from dataclasses import replace
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from conftest import make_model
 
-from asc import analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset
+from asc import analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset, save_model
 from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
-from asc.model import ModelWeights, validate_weights
+from asc.model import ModelWeights, check_model, validate_weights
 from asc.planner import PrunePlan
 
 D, F = 8, 16
@@ -25,20 +25,28 @@ def swapped(name, make):
     """An edit that puts `make(tensor)` in place of tensor `name`."""
     def edit(config, tensors):
         tensors[name] = make(tensors[name])
-        return config
+        return config, ModelWeights(tensors)
     return edit
 
 
 def dropped(name):
     def edit(config, tensors):
         del tensors[name]
-        return config
+        return config, ModelWeights(tensors)
     return edit
 
 
 def reconfigured(**changes):
     def edit(config, tensors):
-        return replace(config, **changes)
+        return replace(config, **changes), ModelWeights(tensors)
+    return edit
+
+
+def retyped(make_config=lambda config: config, make_weights=ModelWeights):
+    """An edit that passes `make_config(config)` and `make_weights(tensors)`
+    where a `ModelConfig` and a `ModelWeights` belong."""
+    def edit(config, tensors):
+        return make_config(config), make_weights(tensors)
     return edit
 
 
@@ -55,6 +63,10 @@ MALFORMED = [
     ("more layers than weights", "standard", reconfigured(num_layers=3, layer_ids=(1, 2, 3))),
     ("num_heads does not divide hidden_dim", "standard", reconfigured(num_heads=3)),
     ("ln1.g shape under norm none", "none", swapped("layer.0.ln1.g", lambda t: t[:-1])),
+    ("config a dict", "standard", retyped(make_config=lambda config: config.to_dict())),
+    ("weights a dict", "standard", retyped(make_weights=lambda tensors: tensors)),
+    ("tensors a list", "standard", retyped(make_weights=lambda t: ModelWeights(list(t.values())))),
+    ("tensors None", "standard", retyped(make_weights=lambda tensors: ModelWeights(None))),
 ]
 
 
@@ -64,9 +76,7 @@ def malformed(request):
     validate_weights gives for the bad model)."""
     _, norm_mode, edit = request.param
     config, weights = make_model(hidden_dim=D, ffn_dim=F, norm_mode=norm_mode)
-    tensors = dict(weights.tensors)
-    bad_config = edit(config, tensors)
-    bad_weights = ModelWeights(tensors)
+    bad_config, bad_weights = edit(config, dict(weights.tensors))
     with pytest.raises(ValidationError) as expected:
         validate_weights(bad_config, bad_weights)
     return config, weights, bad_config, bad_weights, str(expected.value)
@@ -121,6 +131,26 @@ def test_forward_hidden_states_refuses(malformed):
     with pytest.raises(ValidationError) as err:
         forward_hidden_states(bad_config, bad_weights, block)
     assert str(err.value) == message
+
+
+def test_save_model_refuses(malformed, tmp_path):
+    _, _, bad_config, bad_weights, message = malformed
+    path = tmp_path / "model.ascm"
+    with pytest.raises(ValidationError) as err:
+        save_model(bad_config, bad_weights, path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+def test_message_names_a_non_array_by_type():
+    """The message names the type, not the value: a nested list in place of
+    a (1000, 256) tensor once gave a message of over five million characters."""
+    config, weights = make_model(hidden_dim=256, vocab_size=1000)
+    tensors = dict(weights.tensors)
+    tensors["embed.token"] = tensors["embed.token"].tolist()
+    with pytest.raises(ValidationError, match=r"'embed.token' is not an array, got list$") as err:
+        check_model(config, ModelWeights(tensors))
+    assert len(str(err.value)) < 200
 
 
 NAN_ROW = 10

@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from asc import data
+from asc import similarity
 from asc.data import TokenDataset, load_dataset, row_blocks, save_dataset
 from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
@@ -145,7 +145,7 @@ def test_dataset_refused_alike_by_every_reader(tmp_path, monkeypatch, reader):
     for word, from `row_blocks`, `analyze` (1 and 2 workers) and
     `compare_models`, before any file or child process exists."""
     read = DATASET_READERS[reader]
-    monkeypatch.setattr(data, "usable_cores", lambda: 2)
+    monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
     read(DATASET)
 
     def forked():

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import cli, data, similarity, synth, tensor_ops
+from asc import cli, similarity, synth
 from asc.data import TokenDataset, save_dataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import hidden_states
@@ -193,7 +193,7 @@ class TestAnalyze:
             assert matrix.values[k - 1, k] < 0.95
 
     def test_workers_deterministic(self, monkeypatch):
-        monkeypatch.setattr(data, "usable_cores", lambda: 4)
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 4)
         config, weights = synth.gen_model(num_layers=4, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=25,
                                           identity_layers=[3], seed=7, max_seq_len=12)
@@ -220,7 +220,7 @@ class TestAnalyze:
         dataset = synth.gen_dataset(5, 2, 8, config.vocab_size, seed=9)
         single = analyze(config, weights, dataset, workers=1)
         for workers, cores, pool in [(10**6, 64, 5), (10**6, 3, 3), (4, 64, 4)]:
-            monkeypatch.setattr(data, "usable_cores", lambda cores=cores: cores)
+            monkeypatch.setattr(similarity, "usable_cores", lambda cores=cores: cores)
             forks.clear()
             capped = analyze(config, weights, dataset, workers=workers)
             exact = analyze(config, weights, dataset, workers=pool)
@@ -232,7 +232,7 @@ class TestAnalyze:
     def test_pool_runs_the_one_worker_batches(self, monkeypatch, tmp_path):
         """Workers share out whole row blocks: a pool runs the blocks that
         one worker runs, and never splits a length bucket."""
-        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         rng = np.random.default_rng(3)
         # three sequences of each length, one length after another
@@ -253,7 +253,7 @@ class TestAnalyze:
 
     def test_equal_lengths_fill_every_worker(self, monkeypatch, tmp_path):
         """One length bucket is split so that each worker gets a batch."""
-        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(4, 6, 6, config.vocab_size, seed=5)
         single = analyze(config, weights, dataset, workers=1)
@@ -328,8 +328,8 @@ class FakeBlas:
 @pytest.fixture
 def fake_blas(monkeypatch):
     fake = FakeBlas(threads=3)
-    monkeypatch.setattr(tensor_ops, "_openblas_threads", lambda: (fake.get, fake.set))
-    monkeypatch.setattr(data, "usable_cores", lambda: 4)
+    monkeypatch.setattr(similarity, "_openblas_threads", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(similarity, "usable_cores", lambda: 4)
     return fake
 
 
@@ -362,52 +362,55 @@ class TestBlasPin:
         similarity._map_shards(len, [[1]], 8)  # one item, one shard
         assert fake_blas.calls == []
 
-    def test_overlapping_pools_share_one_pin(self, fake_blas):
-        """Two pools up at once (from two threads) read the count once and
-        restore it after the last one has reaped its children."""
-        barrier = multiprocessing.get_context("fork").Barrier(4, timeout=10)
+    def test_pools_from_two_threads_take_turns(self, fake_blas):
+        """Two pools entered at once (from two threads) take turns: each reads
+        the count, pins it and restores it before the other starts. Each
+        shard lingers, so pools that did not wait would overlap."""
+        start = threading.Barrier(2, timeout=10)
         seen = []
 
         def shard(_):
-            threads = fake_blas.threads
-            barrier.wait()
-            return threads
+            time.sleep(0.05)
+            return fake_blas.threads
 
-        callers = [threading.Thread(
-            target=lambda: seen.append(similarity._map_shards(shard, [[1], [2]], 2)))
-            for _ in range(2)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=10)
-            assert not caller.is_alive()
+        def caller():
+            start.wait()
+            seen.append(similarity._map_shards(shard, [[1], [2]], 2))
+
+        callers = [threading.Thread(target=caller) for _ in range(2)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
         assert seen == [[1, 1], [1, 1]]
-        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)]
+        assert fake_blas.calls == ["get", ("set", 1), ("set", 3)] * 2
+        assert fake_blas.threads == 3
 
     @pytest.mark.parametrize("missing", ["library", "symbol"])
     def test_without_openblas_blas_is_left_alone(self, monkeypatch, missing):
         if missing == "library":
-            monkeypatch.setattr(tensor_ops, "glob", SimpleNamespace(glob=lambda pattern: []))
+            monkeypatch.setattr(similarity, "glob", SimpleNamespace(glob=lambda pattern: []))
         else:
-            monkeypatch.setattr(tensor_ops, "glob", SimpleNamespace(
+            monkeypatch.setattr(similarity, "glob", SimpleNamespace(
                 glob=lambda pattern: ["libscipy_openblas64_.so"]))
-            monkeypatch.setattr(tensor_ops, "ctypes", SimpleNamespace(
+            monkeypatch.setattr(similarity, "ctypes", SimpleNamespace(
                 CDLL=lambda path: SimpleNamespace(), c_int=ctypes.c_int))
-        find = tensor_ops._openblas_threads.__wrapped__  # uncached lookup
+        find = similarity._openblas_threads.__wrapped__  # uncached lookup
         assert find() is None
-        monkeypatch.setattr(tensor_ops, "_openblas_threads", find)
-        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        monkeypatch.setattr(similarity, "_openblas_threads", find)
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(9, 2, 12, config.vocab_size, seed=4)
         npt.assert_allclose(analyze(config, weights, dataset, workers=2).values,
                             analyze(config, weights, dataset, workers=1).values, atol=1e-9)
 
     def test_real_openblas_pinned_in_pool_and_restored(self, monkeypatch, tiny_model):
-        handle = tensor_ops._openblas_threads()
+        handle = similarity._openblas_threads()
         if handle is None:
             pytest.skip("numpy does not use its bundled OpenBLAS")
         get, set_ = handle
-        monkeypatch.setattr(data, "usable_cores", lambda: 2)
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
         config, weights = tiny_model
         dataset = synth.gen_dataset(6, 2, 8, config.vocab_size, seed=1)
         original = get()
