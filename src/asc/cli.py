@@ -121,7 +121,7 @@ def _cmd_random_prune(args):
 
 def _cmd_render(args):
     matrix = similarity.load_matrix_csv(args.sim)
-    heatmap.write_pgm(matrix.values, args.out)
+    heatmap.write_pgm(matrix, args.out)
     print(f"wrote heatmap: {args.out} ({matrix.size}x{matrix.size} pgm)")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, is_int, shown
+from .errors import FormatError, ValidationError, is_int, require_type, shown
 from .fileio import atomic_write, read_text
 
 # Token rows per forward batch: bounds the memory that one batch's
@@ -81,18 +81,18 @@ def row_blocks(dataset, config, *more_configs, workers=1) -> list:
     length into `(indices, ids)` batches, and pack them shortest length first
     into `RowBlock`s.
 
-    The ids are checked before any array is built: `dataset.validate()`, then
-    each length group's length and largest id against every config. A batch
-    holds at most MAX_BATCH_ROWS tokens and at most ceil(tokens / `workers`),
-    unless it is one sequence. Batches join a block while it holds no more
-    token rows than the largest batch, so no block needs more memory than that
-    batch; only attention needs equal lengths, so a block runs its token-wise
-    work once over all rows. A length-1 sequence is a block alone: a one-row
-    product is a BLAS matrix-vector call, whose rounding differs from the
-    matrix-matrix call of a taller block, and each sequence must get exactly
-    its own states.
+    The ids are checked before any array is built: the `TokenDataset`'s
+    `validate()`, then each length group's length and largest id against
+    every config. A batch holds at most MAX_BATCH_ROWS tokens and at most
+    ceil(tokens / `workers`), unless it is one sequence. Batches join a block
+    while it holds no more token rows than the largest batch, so no block
+    needs more memory than that batch; only attention needs equal lengths, so
+    a block runs its token-wise work once over all rows. A length-1 sequence
+    is a block alone: a one-row product is a BLAS matrix-vector call, whose
+    rounding differs from the matrix-matrix call of a taller block, and each
+    sequence must get exactly its own states.
     """
-    dataset.validate()
+    require_type("dataset", dataset, TokenDataset).validate()
     sequences = dataset.sequences
     by_length = {}
     for i, seq in enumerate(sequences):
@@ -149,7 +149,7 @@ def load_dataset(path) -> TokenDataset:
 
 def save_dataset(dataset: TokenDataset, path):
     """Write one line per sequence, after refusing what `load_dataset` would read differently."""
-    dataset.validate()
+    require_type("dataset", dataset, TokenDataset).validate()
     with atomic_write(path) as handle:
         for seq in dataset.sequences:
             handle.write(" ".join(str(t) for t in seq))

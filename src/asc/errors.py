@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, and its one integer and one type rule."""
 
 # str() and int() convert ints of at most this many decimal digits (the
 # interpreter's default limit), so no file holds a longer one
@@ -36,4 +36,11 @@ def require_int(name: str, value, minimum: int) -> int:
     """`value`, refused unless it is_int and >= `minimum`; nothing is cast."""
     if not is_int(value) or value < minimum:
         raise ValidationError(f"{name} must be an int >= {minimum}, got {shown(value)}")
+    return value
+
+
+def require_type(name: str, value, cls):
+    """`value`, refused unless it is an instance of `cls`; nothing is converted."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
     return value

@@ -7,7 +7,7 @@ skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
 
 The input is a `data.RowBlock`, whose ids `data.row_blocks` has checked.
-Only `forward_hidden_states` checks the model (`model.check_model`).
+Only `forward_hidden_states` checks its arguments (`model.check_model`, `RowBlock`).
 Every state is (rows, d), one row per token, with each sequence's rows
 consecutive and each length segment's (B, n) sequences in one run; there
 is no padding and no mask. Embedding, projections, the FFN and the
@@ -21,6 +21,8 @@ import math
 import numpy as np
 
 from . import tensor_ops
+from .data import RowBlock
+from .errors import require_type
 from .model import check_model
 
 
@@ -89,8 +91,9 @@ def encoder_layer(config, weights, k, rows, segments) -> np.ndarray:
 
 
 def forward_hidden_states(config, weights, block) -> list:
-    """`hidden_states`, once `model.check_model` accepts the model."""
+    """`hidden_states`, once the model passes `model.check_model` and the block is a `RowBlock`."""
     check_model(config, weights)
+    require_type("block", block, RowBlock)
     return hidden_states(config, weights, block)
 
 

@@ -6,25 +6,20 @@ round-half-up, one pixel per cell, matrix row 0 at the top.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import require_type
 from .fileio import atomic_write
+from .similarity import SimilarityMatrix
 
 
-def to_pixels(values: np.ndarray) -> np.ndarray:
-    if np.any(values < -1.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
-        raise ValidationError("heatmap input must lie in [-1, 1]")
+def write_pgm(matrix: SimilarityMatrix, path):
+    """ASCII ("P2") PGM, one line of pixels per matrix row, of a matrix that
+    passes `SimilarityMatrix.validate`, which keeps every value in [-1, 1]."""
+    require_type("matrix", matrix, SimilarityMatrix).validate()
     # round-half-up, not banker's rounding: 0.0 maps to 128, not 127
-    pixels = np.floor((values + 1.0) / 2.0 * 255.0 + 0.5).astype(np.int64)
-    return pixels
-
-
-def write_pgm(values: np.ndarray, path):
-    """ASCII ("P2") PGM, one line of pixels per matrix row."""
-    pixels = to_pixels(values)
-    rows, cols = pixels.shape
+    pixels = np.floor((matrix.values + 1.0) / 2.0 * 255.0 + 0.5).astype(np.int64)
     with atomic_write(path) as handle:
         handle.write("P2\n")
-        handle.write(f"{cols} {rows}\n")
+        handle.write(f"{matrix.size} {matrix.size}\n")
         handle.write("255\n")
         for row in pixels:
             handle.write(" ".join(str(int(p)) for p in row))

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, is_int, require_int, shown
+from .errors import FormatError, ValidationError, is_int, require_int, require_type, shown
 from .fileio import atomic_write, parse_json_object, require_keys
 
 MAGIC = b"ASCMODL1"
@@ -129,12 +129,9 @@ def tensor_shapes(config: ModelConfig) -> dict:
 def check_model(config: ModelConfig, weights: ModelWeights):
     """The structural rule: a valid config and exactly the schema's tensors,
     each a float32 array of its schema shape. It reads no tensor value."""
-    if not isinstance(config, ModelConfig):
-        raise ValidationError(f"config must be a ModelConfig, got {type(config).__name__}")
-    if not isinstance(weights, ModelWeights):
-        raise ValidationError(f"weights must be a ModelWeights, got {type(weights).__name__}")
-    if not isinstance(weights.tensors, dict):
-        raise ValidationError(f"weights: tensors must be a dict, got {type(weights.tensors).__name__}")
+    require_type("config", config, ModelConfig)
+    require_type("weights", weights, ModelWeights)
+    require_type("weights: tensors", weights.tensors, dict)
     config.validate()
     expected = tensor_shapes(config)
     names = set(weights.tensors)

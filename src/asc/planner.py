@@ -12,8 +12,9 @@ import json
 import random
 from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import FormatError, ValidationError, is_int, require_int, shown
+from .errors import FormatError, ValidationError, is_int, require_int, require_type, shown
 from .fileio import atomic_write, parse_json_object, require_keys
+from .similarity import SimilarityMatrix
 
 PLAN_VERSION = 1
 MODE_ASC = "asc"
@@ -90,7 +91,7 @@ class PrunePlan:
 
 def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
     """Greedy farthest-j scan over a validated similarity matrix."""
-    sim.validate()
+    require_type("sim", sim, SimilarityMatrix).validate()
     # the plan rule judges the threshold as given, before the scan compares with it
     threshold = PrunePlan(threshold, (), (), matrix_fingerprint).validate().threshold
     values = sim.values
@@ -106,25 +107,24 @@ def plan(sim, threshold: float, matrix_fingerprint: str = None) -> PrunePlan:
             anchors.append((i, j))
             redundant.extend(range(i + 1, j + 1))
         i = j + 1
-    return PrunePlan(threshold, tuple(redundant), tuple(anchors), matrix_fingerprint).validate()
+    return PrunePlan(threshold, tuple(redundant), tuple(anchors), matrix_fingerprint)
 
 
 def plan_random(num_layers: int, count: int, seed: int) -> PrunePlan:
     """Uniform random count-subset of encoder layers 1..L (the ablation baseline)."""
-    require_int("num_layers", num_layers, 0)
-    require_int("count", count, 0)
+    # seeds are ints >= 0: random.Random would seed None from the clock and -7 as 7
+    for name, value in (("num_layers", num_layers), ("count", count), ("seed", seed)):
+        require_int(name, value, 0)
     if count > num_layers:
         raise ValidationError(f"count must be in [0, {num_layers}], got {count}")
-    # the plan rule judges the seed as given, before random.Random takes it
-    empty = PrunePlan(threshold=0.0, redundant_layers=(), anchors=(), mode=MODE_RANDOM,
-                      seed=seed).validate()
     chosen = sorted(random.Random(seed).sample(range(1, num_layers + 1), count))
-    return replace(empty, redundant_layers=tuple(chosen)).validate()
+    return PrunePlan(0.0, tuple(chosen), (), mode=MODE_RANDOM, seed=seed)
 
 
 def write_plan(plan_obj: PrunePlan, path):
     """Write `version` and each PrunePlan field as JSON; a null seed is left out."""
-    payload = {"version": PLAN_VERSION, **asdict(plan_obj.validate())}
+    plan_obj = require_type("plan_obj", plan_obj, PrunePlan).validate()
+    payload = {"version": PLAN_VERSION, **asdict(plan_obj)}
     if payload["seed"] is None:  # asc plans carry none
         del payload["seed"]
     with atomic_write(path) as handle:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data
-from .errors import FormatError, ValidationError, require_int
+from .errors import FormatError, ValidationError, require_int, require_type
 from .fileio import atomic_write, read_text
 from .forward import hidden_states
 from .model import check_model
@@ -63,11 +63,10 @@ class SimilarityMatrix:
 
 
 class SimilarityAccumulator:
-    """Single-writer accumulator of per-token pairwise cosine sums."""
+    """Single-writer accumulator of per-token pairwise cosine sums; `analyze`
+    checks the model and dataset it is built for, so it re-checks neither."""
 
     def __init__(self, size: int):
-        if size < 2:
-            raise ValidationError(f"accumulator size must be >= 2, got {size}")
         self.size = size
         self._sums = np.zeros((size, size), dtype=np.float64)
         self._count = 0
@@ -83,10 +82,6 @@ class SimilarityAccumulator:
     def add_states(self, states):
         """Accumulate the hidden states of a row block (a list of (rows, d)
         arrays, one per layer)."""
-        if len(states) != self.size:
-            raise ValidationError(
-                f"sequence has {len(states)} hidden states, accumulator expects {self.size}"
-            )
         # one layer at a time into one float64 block, so a batch holds no
         # float32 or float64 copy of its whole state stack beside it
         unit = np.empty((self.size, *states[0].shape))
@@ -98,14 +93,10 @@ class SimilarityAccumulator:
         self._count += unit.shape[1]
 
     def merge(self, other: "SimilarityAccumulator"):
-        if other.size != self.size:
-            raise ValidationError(f"cannot merge accumulators of size {other.size} into {self.size}")
         self._sums += other._sums
         self._count += other._count
 
     def finalize(self) -> SimilarityMatrix:
-        if self._count == 0:
-            raise ValidationError("cannot finalize: no tokens accumulated")
         mean = self._sums / self._count
         upper = np.triu(mean, k=1)
         values = upper + upper.T
@@ -280,7 +271,7 @@ def _run_child(fn, shard, write_fd):
 
 def write_matrix_csv(matrix: SimilarityMatrix, path):
     """CSV with a `# asc-sim v1` header line and shortest round-trip decimals."""
-    matrix.validate()
+    require_type("matrix", matrix, SimilarityMatrix).validate()
     with atomic_write(path) as handle:
         handle.write(f"# asc-sim v1 layers={matrix.size} tokens={matrix.token_count}\n")
         for row in matrix.values:

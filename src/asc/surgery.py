@@ -11,17 +11,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import row_blocks
-from .errors import ValidationError
+from .errors import ValidationError, require_type
 from .forward import embed, encoder_layer, hidden_states
 from .model import ModelWeights, check_model, layer_shapes
+from .planner import PrunePlan
 from .tensor_ops import unit_rows
 
 
 def apply_plan(config, weights, plan):
-    """Drop the plan's redundant layers and renumber the survivors."""
+    """Drop a valid plan's redundant layers (each >= 1) and renumber the survivors."""
     check_model(config, weights)
+    plan = require_type("plan", plan, PrunePlan).validate()
     num_layers = config.num_layers
-    bad = [i for i in plan.redundant_layers if not 1 <= i <= num_layers]
+    bad = [i for i in plan.redundant_layers if i > num_layers]
     if bad:
         raise ValidationError(
             f"plan names layers {bad} outside this model's range 1..{num_layers}"

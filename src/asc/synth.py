@@ -9,14 +9,15 @@ and retries with a doubled scale until the mean input/output token
 cosine falls below SEPARATION_CAP.
 """
 
+from collections.abc import Iterable
 from operator import itemgetter
 
 import numpy as np
 
 from .data import RowBlock, TokenDataset
-from .errors import ValidationError, require_int
+from .errors import ValidationError, require_int, require_type
 from .forward import embed, encoder_layer
-from .model import ModelConfig, ModelWeights, layer_shapes, tensor_shapes, validate_weights
+from .model import ModelConfig, ModelWeights, layer_shapes, tensor_shapes
 from .tensor_ops import unit_rows
 
 # Upper bound the generator enforces on the mean cosine between a
@@ -64,6 +65,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
 
     `identity_layers` uses the 1-based encoder indexing shared with the
     similarity matrix (index 0 is the embedding and cannot be planted).
+    Every value is finite by construction; `model.save_model` scans them all.
     """
     require_int("seed", seed, 0)
     config = ModelConfig(
@@ -76,7 +78,8 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         norm_mode="none",
     )
     config.validate()
-    identity = {require_int("identity layer index", i, 1) for i in identity_layers}
+    identity = {require_int("identity layer index", i, 1)
+                for i in require_type("identity_layers", identity_layers, Iterable)}
     invalid = sorted(i for i in identity if i > num_layers)
     if invalid:
         raise ValidationError(f"identity layers {invalid} outside encoder range 1..{num_layers}")
@@ -120,7 +123,6 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
                 f"cosine {SEPARATION_CAP} after {_MAX_SCALE_RETRIES} scale retries"
             )
 
-    validate_weights(config, weights)
     return config, weights
 
 

@@ -75,9 +75,18 @@ class TestSynthAndGenData:
          "--vocab", "20", "--seed", "-1"],
         ["gen-data", "--sequences", "3", "--min-len", "2", "--max-len", "4", "--vocab", "9",
          "--seed", "-5"],
+        ["random-prune", "--model", "MODEL", "--count", "1", "--seed", "-1"],
     ], ids=lambda argv: argv[0])
     def test_negative_seed_refused(self, tmp_path, capsys, argv):
-        assert_refused(capsys, argv, tmp_path / "out")
+        model = tmp_path / "model.ascm"
+        assert main(["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2",
+                     "--ffn-dim", "16", "--vocab", "20", "--seed", "0", "--out", str(model)]) == 0
+        capsys.readouterr()
+        argv = [str(model) if word == "MODEL" else word for word in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be an int >= 0, got -")
+        assert not out.exists()
 
     def test_synth_non_integer_identity_layers(self, tmp_path, capsys):
         out = tmp_path / "m.ascm"

@@ -1,22 +1,29 @@
-"""A model is checked once where it enters the library, with the one rule
-`validate_weights` applies (less its finiteness scan): `analyze`,
-`compare_models`, `apply_plan`, `forward_hidden_states` and `save_model` each
-refuse a malformed in-memory model with the message `validate_weights`
-gives, and `analyze` does so before it forks. A NaN that only some
-sequences reach is refused where the result is made."""
+"""Each argument is checked once where it enters the library. A model gets
+the one rule `validate_weights` applies (less its finiteness scan):
+`analyze`, `compare_models`, `apply_plan`, `forward_hidden_states` and
+`save_model` each refuse a malformed in-memory model with the message
+`validate_weights` gives, and `analyze` does so before it forks. A NaN that
+only some sequences reach is refused where the result is made. Any other
+package object is refused by type (`errors.require_type`), then by its own
+`validate()`, and no public function lets a wrong type reach a raw error."""
 
+import inspect
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from conftest import make_model
 
-from asc import analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset, save_model
-from asc.data import TokenDataset, row_blocks
-from asc.errors import ValidationError
+import asc
+from asc import (analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset, plan,
+                 save_dataset, save_model, write_matrix_csv, write_plan)
+from asc.data import RowBlock, TokenDataset, row_blocks
+from asc.errors import AscError, ValidationError
+from asc.heatmap import write_pgm
 from asc.model import ModelWeights, check_model, validate_weights
 from asc.planner import PrunePlan
+from asc.similarity import SimilarityMatrix
 
 D, F = 8, 16
 
@@ -186,8 +193,8 @@ def test_compare_refuses_a_nan_some_sequences_reach(nan_model):
 
 
 def test_entries_do_not_scan_weight_values(nan_model):
-    """A NaN that no sequence reaches is no entry's concern: only load_model,
-    save_model and gen_model scan every value."""
+    """A NaN that no sequence reaches is no entry's concern: only load_model
+    and save_model scan every value."""
     config, good, bad, data = nan_model
     del data.sequences[-1]
     matrix = analyze(config, bad, data)
@@ -198,3 +205,83 @@ def test_entries_do_not_scan_weight_values(nan_model):
     assert pruned_config.num_layers == 1
     for block in row_blocks(data, config):
         forward_hidden_states(config, bad, block)
+
+
+SEQUENCES = [[1, 2, 3], [4, 5]]
+PLAN_FIELDS = asdict(PrunePlan(0.9, (1,), ((0, 1),)))
+
+# (entry, the type it expects, raw data of that type, call(value, path, (config, weights)))
+WRONG_TYPE = [
+    ("row_blocks", TokenDataset, SEQUENCES, lambda v, path, model: row_blocks(v, model[0])),
+    ("save_dataset", TokenDataset, SEQUENCES, lambda v, path, model: save_dataset(v, path)),
+    ("plan", SimilarityMatrix, np.eye(2), lambda v, path, model: plan(v, 0.9)),
+    ("write_matrix_csv", SimilarityMatrix, np.eye(2),
+     lambda v, path, model: write_matrix_csv(v, path)),
+    ("write_pgm", SimilarityMatrix, np.eye(2), lambda v, path, model: write_pgm(v, path)),
+    ("apply_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: apply_plan(*model, v)),
+    ("write_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: write_plan(v, path)),
+    ("forward_hidden_states", RowBlock, SEQUENCES,
+     lambda v, path, model: forward_hidden_states(*model, v)),
+]
+
+
+@pytest.mark.parametrize("form", ["None", "object", "raw"])
+@pytest.mark.parametrize("entry", WRONG_TYPE, ids=[case[0] for case in WRONG_TYPE])
+def test_wrong_type_refused_by_name(entry, form, tmp_path):
+    """Each entry that takes a package object refuses any other type by
+    naming the type it expects, before a writer opens its file."""
+    _, cls, raw, call = entry
+    value = {"None": None, "object": object(), "raw": raw}[form]
+    with pytest.raises(ValidationError,
+                       match=rf" must be of type {cls.__name__}, got {type(value).__name__}$"):
+        call(value, tmp_path / "out", make_model(hidden_dim=D, ffn_dim=F))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_apply_plan_refuses_what_plan_validate_refuses():
+    """Layer 2 with no anchor behind it: a plan `write_plan` would refuse too."""
+    config, weights = make_model(hidden_dim=D, ffn_dim=F)
+    with pytest.raises(ValidationError, match="do not match anchor blocks"):
+        apply_plan(config, weights, PrunePlan(0.5, (2,), ()))
+
+
+def public_functions() -> list:
+    return [name for name in asc.__all__ if inspect.isfunction(getattr(asc, name))]
+
+
+@pytest.fixture
+def valid_arguments(tmp_path):
+    """A valid value for each parameter name of a public function, on one tiny model."""
+    config, weights = make_model(hidden_dim=D, ffn_dim=F)
+    data = TokenDataset([[1, 2, 3], [4, 5]])
+    matrix = analyze(config, weights, data)
+    the_plan = plan(matrix, 0.9)
+    return {
+        "config": config, "weights": weights, "config_a": config, "weights_a": weights,
+        "config_b": config, "weights_b": weights, "dataset": data, "workers": 1,
+        "sim": matrix, "matrix": matrix, "threshold": 0.9, "matrix_fingerprint": None,
+        "plan": the_plan, "plan_obj": the_plan, "block": row_blocks(data, config)[0],
+        "num_layers": 2, "hidden_dim": D, "num_heads": 2, "ffn_dim": F, "vocab_size": 20,
+        "identity_layers": [1], "seed": 0, "max_seq_len": 16, "num_sequences": 3,
+        "min_len": 1, "max_len": 4, "count": 1, "path": tmp_path / "out",
+    }
+
+
+@pytest.mark.parametrize("name", public_functions())
+def test_every_public_function_refuses_a_wrong_type(name, valid_arguments):
+    """Walks `asc.__all__`: a call that works becomes an `AscError`, never a
+    raw AttributeError or TypeError, when any one argument but `path` is an
+    `object()`. A new public function is covered once its parameter names
+    are in `valid_arguments`."""
+    function = getattr(asc, name)
+    names = list(inspect.signature(function).parameters)
+    unknown = [p for p in names if p not in valid_arguments]
+    assert unknown == [], f"give valid_arguments a value for {name}'s {unknown}"
+    replaced = [p for p in names if p != "path"]
+    if not replaced:  # the loaders take a path only
+        return
+    call = {p: valid_arguments[p] for p in names}
+    function(**call)
+    for parameter in replaced:
+        with pytest.raises(AscError):
+            function(**{**call, parameter: object()})

@@ -188,6 +188,13 @@ class TestRandomBaseline:
         with pytest.raises(ValidationError):
             plan_random(num_layers, count, seed=0)
 
+    @pytest.mark.parametrize("seed", [None, -1, -7, 7.0, True, np.int64(7)], ids=repr)
+    def test_seed_is_an_int_at_least_zero(self, seed):
+        """None drew from the clock, a new plan on each call, and -7 drew
+        as 7; the seed rule is gen_model's and gen_dataset's."""
+        with pytest.raises(ValidationError, match="^seed must be an int >= 0"):
+            plan_random(8, 3, seed=seed)
+
 
 class TestPlanValidation:
     def test_overlapping_anchors_rejected(self):

@@ -83,14 +83,6 @@ class TestAccumulator:
         acc = SimilarityAccumulator(2)
         npt.assert_array_equal(acc.sums, np.zeros((2, 2)))
 
-    def test_too_small_rejected(self):
-        with pytest.raises(ValidationError):
-            SimilarityAccumulator(1)
-
-    def test_finalize_without_tokens_rejected(self):
-        with pytest.raises(ValidationError, match="no tokens"):
-            SimilarityAccumulator(3).finalize()
-
     def test_equal_outputs_contribute_one_per_pair(self):
         acc = SimilarityAccumulator(3)
         v = np.array([1.0, 2.0, -1.0], dtype=np.float32)

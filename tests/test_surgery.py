@@ -10,7 +10,7 @@ from asc import forward, surgery, synth
 from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
-from asc.planner import PrunePlan, plan_random
+from asc.planner import MODE_RANDOM, PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
 from asc.tensor_ops import unit_rows
 from conftest import make_model
@@ -24,6 +24,11 @@ def empty_plan():
 def asc_plan(redundant, anchors, threshold=0.9):
     return PrunePlan(threshold=threshold, redundant_layers=tuple(redundant),
                      anchors=tuple(anchors))
+
+
+def layer_plan(layers):
+    """A plan that drops `layers` with no anchors behind them: a random-mode plan."""
+    return PrunePlan(0.0, tuple(layers), (), mode=MODE_RANDOM)
 
 
 class TestApplyPlan:
@@ -255,13 +260,13 @@ class TestCompareReuse:
     def test_reloaded_pruned_model(self, tmp_path):
         config, weights = planted_model()
         path = tmp_path / "pruned.ascm"
-        save_model(*apply_plan(config, weights, asc_plan((2, 3, 5), ((1, 5),))), path)
+        save_model(*apply_plan(config, weights, layer_plan((2, 3, 5))), path)
         assert_exact(config, weights, *load_model(path), mixed_lengths())
 
     def test_shared_arrays_from_apply_plan(self):
         config, weights = planted_model()
         for redundant in [(2, 3, 6), (4,), (1, 8), (2, 3, 4, 5, 6, 7, 8)]:
-            pruned = apply_plan(config, weights, asc_plan(redundant, ()))
+            pruned = apply_plan(config, weights, layer_plan(redundant))
             assert_exact(config, weights, *pruned, mixed_lengths())
 
     @pytest.mark.parametrize("norm_mode", ["none", "standard"])
@@ -342,9 +347,9 @@ class TestCompareReuse:
            swap=st.booleans())
     def test_random_plan_pairs_are_exact(self, norm_mode, first, second, swap):
         config, weights = planted_model(norm_mode)
-        model_a = apply_plan(config, weights, asc_plan(sorted(first), ()))
+        model_a = apply_plan(config, weights, layer_plan(sorted(first)))
         kept = model_a[0].num_layers
-        model_b = apply_plan(*model_a, asc_plan(sorted(i for i in second if i <= kept), ()))
+        model_b = apply_plan(*model_a, layer_plan(sorted(i for i in second if i <= kept)))
         if swap:
             model_a, model_b = model_b, model_a
         assert_exact(*model_a, *model_b, mixed_lengths())
@@ -360,7 +365,7 @@ class TestCompareRowBlocks:
         blocks = row_blocks(dataset, config)
         assert len(blocks) >= 3 and any(len(block.segments) > 1 for block in blocks)
         for redundant in [(), (4,), (2, 3, 6), (1, 5, 8)]:
-            pruned = apply_plan(config, weights, asc_plan(redundant, ()))
+            pruned = apply_plan(config, weights, layer_plan(redundant))
             assert_exact(config, weights, *pruned, dataset)
             assert_exact(*pruned, config, weights, dataset)
 
@@ -371,7 +376,7 @@ class TestCompareLayerCount:
     def test_passthrough_pruned_self_runs_only_a(self, tmp_path, layer_runs):
         config, weights = planted_model()
         path = tmp_path / "pruned.ascm"
-        save_model(*apply_plan(config, weights, asc_plan(PASSTHROUGHS, ())), path)
+        save_model(*apply_plan(config, weights, layer_plan(PASSTHROUGHS)), path)
         report = compare_models(config, weights, *load_model(path), one_batch())
         assert (report.mean_cosine, report.max_abs_diff) == (1.0, 0.0)
         assert layer_runs["a"] == list(range(PLANTED_LAYERS))
@@ -381,7 +386,7 @@ class TestCompareLayerCount:
         config, weights = planted_model()
         # layer 4 mixes: B (ids 1, 2, 3, 5, 6, 7, 8) takes A's state after
         # layer 3 and runs its last L_B - (4 - 1) = 4 layers itself
-        compare_models(config, weights, *apply_plan(config, weights, asc_plan((4,), ())),
+        compare_models(config, weights, *apply_plan(config, weights, layer_plan((4,))),
                        one_batch())
         assert layer_runs["a"] == list(range(PLANTED_LAYERS))
         assert layer_runs["b"] == [3, 4, 5, 6]

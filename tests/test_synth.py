@@ -152,6 +152,19 @@ class TestArgumentsNotCoerced:
         with pytest.raises(ValidationError):
             synth.gen_model(**{**self.MODEL, **change})
 
+    @pytest.mark.parametrize("identity_layers", [None, 5, object()], ids=lambda v: type(v).__name__)
+    def test_non_iterable_identity_layers(self, identity_layers):
+        with pytest.raises(ValidationError, match=rf"^identity_layers must be of type Iterable, "
+                                                  rf"got {type(identity_layers).__name__}$"):
+            synth.gen_model(**{**self.MODEL, "identity_layers": identity_layers})
+
+    @pytest.mark.parametrize("identity_layers", [[1], (1,), {1}, range(1, 2)], ids=repr)
+    def test_identity_layers_of_any_iterable(self, identity_layers):
+        config, weights = synth.gen_model(**{**self.MODEL, "identity_layers": identity_layers})
+        expected = synth.gen_model(**self.MODEL)
+        assert config == expected[0]
+        assert all(np.array_equal(weights[name], expected[1][name]) for name in weights.tensors)
+
     @pytest.mark.parametrize("args, seed", [
         ((5, 1, 3, 10), -5), ((True, 1, 3, 10), 0), ((2.5, 1, 3, 10), 0),
         ((5, 1, 3, True), 0), ((5, 1, 3, 10), 2.0),
