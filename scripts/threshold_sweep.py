@@ -20,6 +20,7 @@ from asc import (
     plan,
     plan_random,
 )
+from asc.similarity import usable_cores
 
 
 def parse_args(argv=None):
@@ -59,14 +60,17 @@ def main(argv=None):
     print(f"{'threshold':>10} {'pruned':>7} {'layers':<16} {'anchors':<16} {'mean cos':>9} "
           f"{'rand mean cos':>14}")
 
+    workers = usable_cores()  # the reports are the same at every worker count
     for threshold in thresholds:
         result = plan(matrix, threshold)
         pruned_config, pruned_weights = apply_plan(config, weights, result)
-        report = compare_models(config, weights, pruned_config, pruned_weights, heldout)
+        report = compare_models(config, weights, pruned_config, pruned_weights, heldout,
+                                workers=workers)
         count = len(result.redundant_layers)
         baseline = plan_random(args.layers, count, seed=args.seed + 3)
         base_config, base_weights = apply_plan(config, weights, baseline)
-        base_report = compare_models(config, weights, base_config, base_weights, heldout)
+        base_report = compare_models(config, weights, base_config, base_weights, heldout,
+                                     workers=workers)
         layers = ",".join(str(i) for i in result.redundant_layers) or "-"
         anchors = " ".join(f"{i}-{j}" for i, j in result.anchors) or "-"
         print(f"{threshold:>10} {count:>7} {layers:<16} {anchors:<16} {report.mean_cosine:>9.5f} "

@@ -14,7 +14,7 @@ import sys
 from . import data, heatmap, model, planner, similarity, surgery, synth
 from .errors import AscError, ValidationError
 from .fileio import atomic_write, sha256_file
-from .forward import forward_hidden_states
+from .forward import hidden_states
 
 # ASCII decimal digits, as the file loaders read ints; int() alone would also
 # take "1_0", " 2", "+2" and non-ASCII digits. A sign is read so that a
@@ -129,7 +129,9 @@ def _cmd_compare(args):
     config_a, weights_a = model.load_model(args.model_a)
     config_b, weights_b = model.load_model(args.model_b)
     dataset = data.load_dataset(args.data)
-    report = surgery.compare_models(config_a, weights_a, config_b, weights_b, dataset)
+    # the report is the same at every worker count, so compare takes no --workers
+    report = surgery.compare_models(config_a, weights_a, config_b, weights_b, dataset,
+                                    workers=similarity.usable_cores())
     print(f"tokens: {report.token_count}")
     print(f"mean_cosine: {report.mean_cosine!r}")
     print(f"min_cosine: {report.min_cosine!r}")
@@ -137,11 +139,11 @@ def _cmd_compare(args):
 
 
 def _cmd_forward(args):
-    config, weights = model.load_model(args.model)
+    config, weights = model.load_model(args.model)  # checks the model once, for all blocks
     dataset = data.load_dataset(args.data)
     finals = [None] * len(dataset)
     for block in data.row_blocks(dataset, config):
-        for i, final in block.split(forward_hidden_states(config, weights, block)[-1]):
+        for i, final in block.split(hidden_states(config, weights, block)[-1]):
             finals[i] = final
     with atomic_write(args.out) as handle:
         for final in finals:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError, is_int, require_type, shown
 from .fileio import atomic_write, read_text
+from .model import ModelConfig
 
 # Token rows per forward batch: bounds the memory that one batch's
 # activations take, however large the dataset.
@@ -82,24 +83,28 @@ def row_blocks(dataset, config, *more_configs, workers=1) -> list:
     into `RowBlock`s.
 
     The ids are checked before any array is built: the `TokenDataset`'s
-    `validate()`, then each length group's length and largest id against
-    every config. A batch holds at most MAX_BATCH_ROWS tokens and at most
-    ceil(tokens / `workers`), unless it is one sequence. Batches join a block
-    while it holds no more token rows than the largest batch, so no block
-    needs more memory than that batch; only attention needs equal lengths, so
-    a block runs its token-wise work once over all rows. A length-1 sequence
-    is a block alone: a one-row product is a BLAS matrix-vector call, whose
+    `validate()`, each config's type (`ModelConfig`) and `validate()`, then
+    each length group's length and largest id against every config. A batch
+    holds at most MAX_BATCH_ROWS tokens and at most ceil(tokens /
+    `workers`), unless it is one sequence. Batches join a block while it
+    holds no more token rows than the largest batch, so no block needs more
+    memory than that batch; only attention needs equal lengths, so a block
+    runs its token-wise work once over all rows. A length-1 sequence is a
+    block alone: a one-row product is a BLAS matrix-vector call, whose
     rounding differs from the matrix-matrix call of a taller block, and each
     sequence must get exactly its own states.
     """
     require_type("dataset", dataset, TokenDataset).validate()
+    configs = (config, *more_configs)
+    for cfg in configs:
+        require_type("config", cfg, ModelConfig).validate()
     sequences = dataset.sequences
     by_length = {}
     for i, seq in enumerate(sequences):
         by_length.setdefault(len(seq), []).append(i)
     for n, indices in by_length.items():
         top = max(max(sequences[i]) for i in indices)
-        for cfg in (config, *more_configs):
+        for cfg in configs:
             if n > cfg.max_seq_len:
                 raise ValidationError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
             if top >= cfg.vocab_size:

@@ -199,7 +199,8 @@ def single_threaded_blas():
             set_(restore)
 
 
-# kept private (perfbench's tracer wraps public names) so worker spans stay under analyze
+# kept private (perfbench's tracer wraps public names) so worker spans stay under
+# analyze or compare_models
 def _map_shards(fn, items, workers: int) -> list:
     """`fn(shard)` for each round-robin shard of `items`, in shard order.
 

@@ -55,5 +55,19 @@ def no_child_left():
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The pid that called os.fork, once per call."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+@pytest.fixture
 def tiny_model():
     return make_model()

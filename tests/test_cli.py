@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from asc import forward, similarity
+from asc import model as model_module
 from asc.cli import main
 from asc.data import TokenDataset, row_blocks
 from asc.model import MAGIC, load_model
@@ -536,6 +538,59 @@ class TestCompareAndForward:
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
                            for seq in sequences
                            for row in final_hidden_state(config, weights, seq))
+        assert out.read_text() == expected
+
+    def test_compare_output_same_at_every_core_count(self, pipeline_files, capsys,
+                                                     monkeypatch, forks):
+        """`asc compare` runs one shard per usable core, at most one per block;
+        its printout is the same, byte for byte, with 1 core or 4."""
+        tmp_path, model, _ = pipeline_files
+        pruned = tmp_path / "pruned.ascm"
+        assert main(["random-prune", "--model", str(model), "--count", "2", "--seed", "3",
+                     "--out", str(pruned)]) == 0
+        config, _ = load_model(model)
+        rng = np.random.default_rng(5)
+        sequences = [rng.integers(0, 40, size=n).tolist() for n in [1, 1, *range(2, 13)] * 3]
+        assert len(row_blocks(TokenDataset(sequences), config, workers=4)) >= 4
+        data = tmp_path / "mixed.txt"
+        data.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in sequences))
+        outputs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(similarity, "usable_cores", lambda cores=cores: cores)
+            capsys.readouterr()
+            assert main(["compare", "--model-a", str(model), "--model-b", str(pruned),
+                         "--data", str(data)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(forks) == 3  # with 4 cores: shard 0 here, 3 children
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(f"tokens: {sum(map(len, sequences))}\n")
+
+    def test_forward_checks_the_model_once(self, pipeline_files, monkeypatch):
+        """`load_model` checks the model; the blocks, length-1 ones among them,
+        run unchecked and give each sequence's own final states."""
+        tmp_path, model, _ = pipeline_files
+        config, weights = load_model(model)
+        rng = np.random.default_rng(6)
+        sequences = [rng.integers(0, 40, size=n).tolist() for n in (1, 7, 1, 12, 3, 7, 1, 5)]
+        assert len(row_blocks(TokenDataset(sequences), config)) >= 5
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                           for seq in sequences
+                           for row in final_hidden_state(config, weights, seq))
+        data = tmp_path / "mixed.txt"
+        data.write_text("".join(" ".join(map(str, seq)) + "\n" for seq in sequences))
+        checks = []
+
+        def counting(config, weights):
+            checks.append(1)
+            return real_check(config, weights)
+
+        real_check = model_module.check_model
+        monkeypatch.setattr(model_module, "check_model", counting)
+        monkeypatch.setattr(forward, "check_model", counting)
+        out = tmp_path / "emb.csv"
+        assert main(["forward", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert checks == [1]
         assert out.read_text() == expected
 
     def test_forward_row_count_matches_tokens(self, pipeline_files):

@@ -2,13 +2,13 @@
 the one rule `validate_weights` applies (less its finiteness scan):
 `analyze`, `compare_models`, `apply_plan`, `forward_hidden_states` and
 `save_model` each refuse a malformed in-memory model with the message
-`validate_weights` gives, and `analyze` does so before it forks. A NaN that
-only some sequences reach is refused where the result is made. Any other
-package object is refused by type (`errors.require_type`), then by its own
-`validate()`, and no public function lets a wrong type reach a raw error."""
+`validate_weights` gives, and `analyze` and `compare_models` do so before
+they fork. A NaN that only some sequences reach is refused where the result
+is made. Any other package object is refused by type
+(`errors.require_type`), then by its own `validate()`, and no public
+function lets a wrong type reach a raw error."""
 
 import inspect
-import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -17,11 +17,11 @@ from conftest import make_model
 
 import asc
 from asc import (analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset, plan,
-                 save_dataset, save_model, write_matrix_csv, write_plan)
+                 save_dataset, save_model, similarity, write_matrix_csv, write_plan)
 from asc.data import RowBlock, TokenDataset, row_blocks
 from asc.errors import AscError, ValidationError
 from asc.heatmap import write_pgm
-from asc.model import ModelWeights, check_model, validate_weights
+from asc.model import ModelConfig, ModelWeights, check_model, validate_weights
 from asc.planner import PrunePlan
 from asc.similarity import SimilarityMatrix
 
@@ -93,20 +93,6 @@ def dataset(config):
     return gen_dataset(6, 2, 8, config.vocab_size, seed=1)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Every os.fork call, counted."""
-    calls = []
-    real = os.fork
-
-    def counted():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_analyze_refuses_before_any_fork(malformed, forks, workers):
     config, _, bad_config, bad_weights, message = malformed
@@ -123,6 +109,15 @@ def test_compare_refuses_as_a_and_as_b(malformed):
         with pytest.raises(ValidationError) as err:
             compare_models(*models, dataset(config))
         assert str(err.value) == message
+
+
+def test_compare_refuses_before_any_fork(malformed, forks, monkeypatch):
+    monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
+    config, weights, bad_config, bad_weights, message = malformed
+    with pytest.raises(ValidationError) as err:
+        compare_models(config, weights, bad_config, bad_weights, dataset(config), workers=2)
+    assert str(err.value) == message
+    assert forks == []
 
 
 def test_apply_plan_refuses(malformed):
@@ -209,10 +204,15 @@ def test_entries_do_not_scan_weight_values(nan_model):
 
 SEQUENCES = [[1, 2, 3], [4, 5]]
 PLAN_FIELDS = asdict(PrunePlan(0.9, (1,), ((0, 1),)))
+CONFIG_FIELDS = make_model(hidden_dim=D, ffn_dim=F)[0].to_dict()
 
 # (entry, the type it expects, raw data of that type, call(value, path, (config, weights)))
 WRONG_TYPE = [
     ("row_blocks", TokenDataset, SEQUENCES, lambda v, path, model: row_blocks(v, model[0])),
+    ("row_blocks config", ModelConfig, CONFIG_FIELDS,
+     lambda v, path, model: row_blocks(TokenDataset(SEQUENCES), v)),
+    ("row_blocks more_configs", ModelConfig, CONFIG_FIELDS,
+     lambda v, path, model: row_blocks(TokenDataset(SEQUENCES), model[0], v)),
     ("save_dataset", TokenDataset, SEQUENCES, lambda v, path, model: save_dataset(v, path)),
     ("plan", SimilarityMatrix, np.eye(2), lambda v, path, model: plan(v, 0.9)),
     ("write_matrix_csv", SimilarityMatrix, np.eye(2),
@@ -236,6 +236,14 @@ def test_wrong_type_refused_by_name(entry, form, tmp_path):
                        match=rf" must be of type {cls.__name__}, got {type(value).__name__}$"):
         call(value, tmp_path / "out", make_model(hidden_dim=D, ffn_dim=F))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_row_blocks_refuses_what_config_validate_refuses():
+    """A `ModelConfig` whose max_seq_len is None would reach a raw `>` comparison."""
+    config, _ = make_model(hidden_dim=D, ffn_dim=F)
+    for bad in [replace(config, max_seq_len=None), replace(config, vocab_size=0)]:
+        with pytest.raises(ValidationError, match=r"^config: (max_seq_len|vocab_size) must be"):
+            row_blocks(TokenDataset(SEQUENCES), config, bad)
 
 
 def test_apply_plan_refuses_what_plan_validate_refuses():

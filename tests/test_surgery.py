@@ -1,4 +1,5 @@
 import functools
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import forward, surgery, synth
+from asc import forward, similarity, surgery, synth
 from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
@@ -404,3 +405,72 @@ class TestCompareLayerCount:
             reused = sum(1 for i in pruned_config.layer_ids if i < first_mixing)
             assert layer_runs["a"] == list(range(PLANTED_LAYERS))
             assert layer_runs["b"] == list(range(reused, pruned_config.num_layers))
+
+
+def many_blocks(seed=64):
+    """40 sequences of 1-12 tokens, several of length 1: several row blocks at any pool size."""
+    rng = np.random.default_rng(seed)
+    lengths = [1, 1, 1] + rng.integers(1, 13, size=37).tolist()
+    return TokenDataset([rng.integers(0, 30, size=n).tolist() for n in lengths])
+
+
+class TestParallelCompare:
+    """`workers` deals row blocks to forked shards as `analyze` does; the
+    report is the same, field for field, at every worker count."""
+
+    @pytest.mark.parametrize("norm_mode", ["none", "standard"])
+    @pytest.mark.parametrize("which", ["planted", "random"])
+    def test_report_equal_at_every_worker_count(self, monkeypatch, forks, norm_mode, which):
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 4)
+        config, weights = planted_model(norm_mode)
+        the_plan = layer_plan(PASSTHROUGHS) if which == "planted" else plan_random(
+            PLANTED_LAYERS, 4, seed=65)
+        pruned = apply_plan(config, weights, the_plan)
+        dataset = many_blocks()
+        serial = assert_exact(config, weights, *pruned, dataset)
+        assert forks == []
+        for workers in range(1, 5):
+            assert len(row_blocks(dataset, config, workers=workers)) >= 4
+            forks.clear()
+            assert compare_models(config, weights, *pruned, dataset, workers=workers) == serial
+            assert forks == [os.getpid()] * (workers - 1)
+        if which == "planted" and norm_mode == "none":
+            assert (serial.mean_cosine, serial.max_abs_diff) == (1.0, 0.0)
+
+    def test_nan_in_a_child_shard_is_refused(self, monkeypatch):
+        """Only the longest sequence reaches B's NaN, and its block lies in a
+        child's shard; the child's error is raised here, and conftest's
+        `no_child_left` checks that the child was reaped."""
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
+        config, weights = planted_model()
+        nan_b = with_tensor(weights, "embed.pos", lambda t: t.__setitem__((11, 0), np.nan))
+        dataset = TokenDataset([[3] * n for n in (2, 4, 6, 12)])
+        blocks = row_blocks(dataset, config, workers=2)
+        assert len(blocks) == 2 and blocks[1].segments == ((1, 12),)  # shard 1: a child
+        with pytest.raises(ValidationError) as serial:
+            compare_models(config, weights, config, nan_b, dataset)
+        with pytest.raises(ValidationError) as parallel:
+            compare_models(config, weights, config, nan_b, dataset, workers=2)
+        assert str(parallel.value) == str(serial.value) == \
+            "the models' final-layer states hold non-finite values"
+
+    def test_pool_is_capped_by_cores_and_blocks(self, monkeypatch, forks):
+        """Sequences of lengths 1, 3, 6 and 11 make three row blocks at any pool size."""
+        config, weights = planted_model()
+        pruned = apply_plan(config, weights, layer_plan((4,)))
+        dataset = TokenDataset([[5] * n for n in (6, 1, 11, 3)])
+        serial = compare_models(config, weights, *pruned, dataset)
+        for workers, cores, pool in [(10**6, 64, 3), (10**6, 2, 2), (2, 64, 2), (1, 64, 1)]:
+            monkeypatch.setattr(similarity, "usable_cores", lambda cores=cores: cores)
+            assert len(row_blocks(dataset, config, workers=min(workers, cores))) == 3
+            forks.clear()
+            assert compare_models(config, weights, *pruned, dataset, workers=workers) == serial
+            assert forks == [os.getpid()] * (pool - 1)
+
+    def test_bad_workers_rejected(self, forks):
+        """workers is a Python int >= 1, as for `analyze`; nothing is cast."""
+        config, weights = planted_model()
+        for workers in (0, -1, True, 1.5, "2", np.int64(2)):
+            with pytest.raises(ValidationError, match="workers"):
+                compare_models(config, weights, config, weights, one_batch(), workers=workers)
+        assert forks == []
