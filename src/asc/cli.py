@@ -142,6 +142,7 @@ def _cmd_forward(args):
     config, weights = model.load_model(args.model)  # checks the model once, for all blocks
     dataset = data.load_dataset(args.data)
     finals = [None] * len(dataset)
+    # keeps final layers only; forward_hidden_states would hold all L+1 of every sequence
     for block in data.row_blocks(dataset, config):
         for i, final in block.split(hidden_states(config, weights, block)[-1]):
             finals[i] = final
@@ -232,8 +233,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (AscError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AscError, OSError, MemoryError) as exc:  # numpy names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

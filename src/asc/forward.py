@@ -6,14 +6,14 @@ index k (1..L) the output of encoder layer k. Layers are post-norm
 skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
 
-The input is a `data.RowBlock`, whose ids `data.row_blocks` has checked.
-Only `forward_hidden_states` checks its arguments (`model.check_model`, `RowBlock`).
-Every state is (rows, d), one row per token, with each sequence's rows
-consecutive and each length segment's (B, n) sequences in one run; there
-is no padding and no mask. Embedding, projections, the FFN and the
-layernorms run once over all rows; attention runs per segment, all heads
-of all its sequences as one stacked product, so each sequence's states
-equal its states in a block of its own, bit for bit.
+Only `forward_hidden_states` checks its arguments: the model by
+`model.check_model`, the `TokenDataset` by `data.row_blocks`, whose blocks
+the other functions take unchecked. A block's states are (rows, d), one row
+per token, with each sequence's rows consecutive and each length segment's
+(B, n) sequences in one run; there is no padding and no mask. Embedding,
+projections, the FFN and the layernorms run once over all rows; attention
+runs per segment, all heads of all its sequences as one stacked product, so
+each sequence's states equal its states in a block of its own, bit for bit.
 """
 
 import math
@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from . import tensor_ops
-from .data import RowBlock
-from .errors import require_type
+from .data import row_blocks
 from .model import check_model
 
 
@@ -90,11 +89,17 @@ def encoder_layer(config, weights, k, rows, segments) -> np.ndarray:
     return y
 
 
-def forward_hidden_states(config, weights, block) -> list:
-    """`hidden_states`, once the model passes `model.check_model` and the block is a `RowBlock`."""
+def forward_hidden_states(config, weights, dataset) -> list:
+    """Each sequence's L+1 hidden states as one float32 (L+1, n, d) array, in
+    dataset order, equal bit for bit to that sequence's states on its own."""
     check_model(config, weights)
-    require_type("block", block, RowBlock)
-    return hidden_states(config, weights, block)
+    blocks = row_blocks(dataset, config)
+    per_sequence = [None] * len(dataset)
+    for block in blocks:
+        stack = np.stack(hidden_states(config, weights, block))  # (L+1, rows, d)
+        for i, rows in block.split(stack.swapaxes(0, 1)):
+            per_sequence[i] = rows.swapaxes(0, 1)  # a view; the stack holds only these states
+    return per_sequence
 
 
 def hidden_states(config, weights, block) -> list:

@@ -46,9 +46,13 @@ class SimilarityMatrix:
 
     def validate(self):
         v = self.values
-        if not isinstance(v, np.ndarray) or v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(
-                f"similarity matrix must be a square array, got shape {np.shape(v)}")
+        # float64 only: a str or object array reaches np.isfinite's raw TypeError, and
+        # write_matrix_csv would drop a complex matrix's imaginary part
+        if not isinstance(v, np.ndarray) or v.dtype != np.float64:
+            got = v.dtype if isinstance(v, np.ndarray) else type(v).__name__
+            raise ValidationError(f"similarity matrix must be a float64 array, got {got}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValidationError(f"similarity matrix must be a square array, got shape {v.shape}")
         if v.shape[0] < 2:
             raise ValidationError(f"similarity matrix must be at least 2x2, got {v.shape[0]}")
         require_int("token_count", self.token_count, 0)

@@ -9,6 +9,7 @@ and retries with a doubled scale until the mean input/output token
 cosine falls below SEPARATION_CAP.
 """
 
+import math
 from collections.abc import Iterable
 from operator import itemgetter
 
@@ -26,6 +27,14 @@ SEPARATION_CAP = 0.8
 _MAX_SCALE_RETRIES = 10
 _PROBE_SEQUENCES = 4
 _PROBE_LEN = 16
+# numpy makes no array of more bytes than an int64 counts, and synth draws
+# 8-byte values: int64 ids, and float64 weights before their float32 cast
+MAX_DRAW = np.iinfo(np.int64).max // 8
+
+
+def _require_drawable(what: str, count: int):
+    if count > MAX_DRAW:
+        raise ValidationError(f"{what} is {count}, beyond the {MAX_DRAW} values numpy can draw")
 
 
 def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
@@ -84,9 +93,13 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     if invalid:
         raise ValidationError(f"identity layers {invalid} outside encoder range 1..{num_layers}")
 
-    rng = np.random.default_rng(seed)
     # only two shapes kept: the whole map held through the loop cost ~0.8 MB of peak RSS
     token_shape, pos_shape = itemgetter("embed.token", "embed.pos")(tensor_shapes(config))
+    suffixes = layer_shapes(config)
+    for shape in (token_shape, pos_shape, *suffixes.values()):
+        _require_drawable(f"the size of a {shape} tensor", math.prod(shape))
+
+    rng = np.random.default_rng(seed)
     tensors = {
         "embed.token": rng.standard_normal(token_shape).astype(np.float32),
         "embed.pos": (0.5 * rng.standard_normal(pos_shape)).astype(np.float32),
@@ -97,7 +110,6 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
     # one batch, built whole: `row_blocks` runs each sequence of a length-1 probe alone
     ids = rng.integers(0, vocab_size, size=segments[0])
     probe = embed(config, weights, RowBlock(((range(_PROBE_SEQUENCES), ids),)))
-    suffixes = layer_shapes(config)
 
     for encoder_index in range(1, num_layers + 1):
         slot = encoder_index - 1
@@ -133,6 +145,8 @@ def gen_dataset(num_sequences: int, min_len: int, max_len: int,
                                  ("max_len", max_len, 1), ("vocab_size", vocab_size, 1),
                                  ("seed", seed, 0)):
         require_int(name, value, minimum)
+    _require_drawable("max_len", max_len)
+    _require_drawable("vocab_size", vocab_size)
     if min_len > max_len:
         raise ValidationError(f"need 1 <= min_len <= max_len, got {min_len}..{max_len}")
     rng = np.random.default_rng(seed)

@@ -3,8 +3,10 @@
 Each one is written the slow, literal way on purpose: a per-vector cosine,
 a per-token view of the forward pass, a layer-by-layer final state, and a
 transliteration of the published scan. None of them is used by the
-pipeline itself. The forward pass takes row blocks only; `one_block` and
-`sequence_states` run one sequence as the one block of its own dataset.
+pipeline itself. `one_block` and `sequence_states` run one sequence as
+the one row block of its own dataset, through the internal
+`forward.hidden_states`, so they stay independent of the public
+`forward_hidden_states`.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 
 from asc.data import TokenDataset, row_blocks
 from asc.errors import ValidationError
-from asc.forward import embed, encoder_layer, forward_hidden_states
+from asc.forward import embed, encoder_layer, hidden_states
 from asc.tensor_ops import NORM_EPS
 
 
@@ -51,7 +53,7 @@ def one_block(config, tokens):
 
 def sequence_states(config, weights, tokens) -> list:
     """All L+1 (n, d) hidden states of one sequence, run as a block of its own."""
-    return forward_hidden_states(config, weights, one_block(config, tokens))
+    return hidden_states(config, weights, one_block(config, tokens))
 
 
 def forward_with_taps(config, weights, tokens):

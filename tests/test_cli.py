@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from asc import forward, similarity
+from asc import forward, similarity, synth
 from asc import model as model_module
 from asc.cli import main
 from asc.data import TokenDataset, row_blocks
@@ -417,6 +417,44 @@ class TestStrictNumbers:
         sim.write_text(sim.read_text().replace(old, new, 1), encoding="utf-8")
         assert_refused(capsys, ["plan", "--sim", str(sim), "--threshold", "0.9"],
                        tmp_path / "plan.json")
+
+
+class TestSizesNumpyCannotDraw:
+    """A size numpy cannot draw or allocate ends as one `error: ...` line and
+    exit 1, with no file left; each once ended in a traceback."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (GEN_DATA_ARGS, "--vocab", str(2 ** 63 + 1)),
+        (GEN_DATA_ARGS, "--max-len", str(2 ** 63)),
+        (SYNTH_ARGS, "--ffn-dim", str(2 ** 63)),
+        (SYNTH_ARGS, "--ffn-dim", str(2 ** 62)),
+        (SYNTH_ARGS, "--max-seq-len", str(2 ** 61)),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_refused_before_any_draw(self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "out"
+        assert main(with_value(argv, flag, value) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f", beyond the {synth.MAX_DRAW} values numpy can draw\n")
+        assert list(tmp_path.iterdir()) == []
+
+    NUMPY_MESSAGE = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                     "and data type int64")
+
+    @pytest.mark.parametrize("argv, generator, error, message", [
+        (GEN_DATA_ARGS, "gen_dataset", MemoryError(NUMPY_MESSAGE), NUMPY_MESSAGE),
+        (SYNTH_ARGS, "gen_model", MemoryError(), "out of memory"),
+    ], ids=["gen-data", "synth"])
+    def test_memory_error(self, tmp_path, capsys, monkeypatch, argv, generator, error, message):
+        """Patched in: a test must not really run out of memory."""
+        def out_of_memory(**kwargs):
+            raise error
+
+        monkeypatch.setattr(synth, generator, out_of_memory)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHugeIntegers:

@@ -1,8 +1,10 @@
 """The README's examples stay in step with the code: every `asc ...` command
 in its `sh` blocks parses, so a removed option cannot linger there, every
-Python block runs and prints what it says, and the plan-file keys it lists
-are `PrunePlan`'s fields, and every public name is shown in its code."""
+Python block runs and prints what it says and imports from `asc` alone, and
+the plan-file keys it lists are `PrunePlan`'s fields, and every public name
+is shown in its code."""
 
+import ast
 import re
 import shlex
 from dataclasses import fields
@@ -40,16 +42,30 @@ def test_readme_command_parses(argv):
     build_parser().parse_args(argv)
 
 
+def readme_python_blocks() -> list:
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
 def test_readme_library_example_runs(capsys):
     """Each `python` block runs on its own and prints what the `# prints:`
     comment on its last line says."""
-    text = README.read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    blocks = readme_python_blocks()
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
         expected = re.search(r"# prints: (.*)\n\Z", block).group(1)
         assert capsys.readouterr().out == expected + "\n"
+
+
+def test_readme_imports_only_the_public_package():
+    """The examples use what `asc` exports, never a submodule's internals."""
+    for block in readme_python_blocks():
+        nodes = list(ast.walk(ast.parse(block)))
+        modules = [alias.name for node in nodes if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
+        assert modules and set(modules) == {"asc"}, modules
 
 
 def test_readme_plan_keys_are_prune_plan_fields():

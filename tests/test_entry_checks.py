@@ -128,11 +128,22 @@ def test_apply_plan_refuses(malformed):
 
 
 def test_forward_hidden_states_refuses(malformed):
-    config, _, bad_config, bad_weights, message = malformed
-    (block,) = row_blocks(TokenDataset([[1, 2, 3]]), config)
-    with pytest.raises(ValidationError) as err:
-        forward_hidden_states(bad_config, bad_weights, block)
-    assert str(err.value) == message
+    """The model is refused before the dataset is looked at, valid or not."""
+    _, _, bad_config, bad_weights, message = malformed
+    for data in [TokenDataset([[1, 2, 3]]), TokenDataset([[1, 99]]), object()]:
+        with pytest.raises(ValidationError) as err:
+            forward_hidden_states(bad_config, bad_weights, data)
+        assert str(err.value) == message
+
+
+def test_forward_hidden_states_refuses_a_row_block():
+    """A hand-built block would skip the id checks: id 99 on a vocab-20 model
+    once reached a raw IndexError inside the embedding lookup."""
+    config, weights = make_model(hidden_dim=D, ffn_dim=F)
+    for block in [RowBlock((([0], np.array([[99]])),)), RowBlock(None)]:
+        with pytest.raises(ValidationError,
+                           match=r"^dataset must be of type TokenDataset, got RowBlock$"):
+            forward_hidden_states(config, weights, block)
 
 
 def test_save_model_refuses(malformed, tmp_path):
@@ -198,8 +209,7 @@ def test_entries_do_not_scan_weight_values(nan_model):
     assert (report.mean_cosine, report.max_abs_diff) == (1.0, 0.0)
     pruned_config, _ = apply_plan(config, bad, PrunePlan(0.9, (1,), ((0, 1),)))
     assert pruned_config.num_layers == 1
-    for block in row_blocks(data, config):
-        forward_hidden_states(config, bad, block)
+    forward_hidden_states(config, bad, data)
 
 
 SEQUENCES = [[1, 2, 3], [4, 5]]
@@ -220,7 +230,7 @@ WRONG_TYPE = [
     ("write_pgm", SimilarityMatrix, np.eye(2), lambda v, path, model: write_pgm(v, path)),
     ("apply_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: apply_plan(*model, v)),
     ("write_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: write_plan(v, path)),
-    ("forward_hidden_states", RowBlock, SEQUENCES,
+    ("forward_hidden_states", TokenDataset, SEQUENCES,
      lambda v, path, model: forward_hidden_states(*model, v)),
 ]
 
@@ -268,7 +278,7 @@ def valid_arguments(tmp_path):
         "config": config, "weights": weights, "config_a": config, "weights_a": weights,
         "config_b": config, "weights_b": weights, "dataset": data, "workers": 1,
         "sim": matrix, "matrix": matrix, "threshold": 0.9, "matrix_fingerprint": None,
-        "plan": the_plan, "plan_obj": the_plan, "block": row_blocks(data, config)[0],
+        "plan": the_plan, "plan_obj": the_plan,
         "num_layers": 2, "hidden_dim": D, "num_heads": 2, "ffn_dim": F, "vocab_size": 20,
         "identity_layers": [1], "seed": 0, "max_seq_len": 16, "num_sequences": 3,
         "min_len": 1, "max_len": 4, "count": 1, "path": tmp_path / "out",

@@ -4,7 +4,7 @@ import pytest
 
 from asc import synth
 from asc.data import TokenDataset, row_blocks
-from asc.forward import embed, encoder_layer, forward_hidden_states
+from asc.forward import embed, encoder_layer, forward_hidden_states, hidden_states
 from asc.model import ModelConfig, ModelWeights, tensor_shapes
 from conftest import make_model
 from oracles import final_hidden_state, forward_with_taps, one_block, sequence_states
@@ -209,6 +209,40 @@ class TestTaps:
                                embed(config, weights, one_block(config, tokens)))
 
 
+class TestForwardHiddenStates:
+    """The public call: each sequence of a dataset gets its own states, as one
+    (L+1, n, d) float32 array, in dataset order."""
+
+    @pytest.mark.parametrize("norm_mode", ["standard", "none"])
+    def test_each_sequence_equals_its_own_states(self, norm_mode):
+        config, weights = make_model(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
+                                     vocab_size=30, max_seq_len=40, norm_mode=norm_mode, seed=7)
+        rng = np.random.default_rng(8)
+        sequences = [rng.integers(0, 30, int(rng.integers(2, 41))).tolist() for _ in range(60)]
+        sequences[3:3] = [[29]]
+        sequences.append([0])
+        dataset = TokenDataset(sequences)
+        blocks = row_blocks(dataset, config)
+        assert len(blocks) > 3 and any(len(block.segments) > 1 for block in blocks)
+        got = forward_hidden_states(config, weights, dataset)
+        assert len(got) == len(sequences)
+        for tokens, states in zip(sequences, got):
+            assert states.dtype == np.float32 and states.shape == (3, len(tokens), 8)
+            want = np.stack(sequence_states(config, weights, tokens))
+            assert np.array_equal(states.view(np.uint32), want.view(np.uint32))
+
+    def test_zero_layer_model_gives_the_embedding(self):
+        config, weights = make_model(num_layers=0)
+        sequences = [[1, 2, 3], [4], [5, 6]]
+        got = forward_hidden_states(config, weights, TokenDataset(sequences))
+        assert [states.shape for states in got] == [(1, 3, 8), (1, 1, 8), (1, 2, 8)]
+        for tokens, states in zip(sequences, got):
+            npt.assert_array_equal(states[0], embed(config, weights, one_block(config, tokens)))
+
+    def test_empty_dataset_gives_no_states(self, tiny_model):
+        assert forward_hidden_states(*tiny_model, TokenDataset([])) == []
+
+
 class TestBatches:
     """A block of one (B, n) batch gives each sequence exactly its single-sequence states."""
 
@@ -229,7 +263,7 @@ class TestBatches:
         sequences = np.random.default_rng(n).integers(0, 30, size=(batch, n)).tolist()
         (block,) = row_blocks(TokenDataset(sequences), config)
         assert block.segments == ((batch, n),)
-        states = forward_hidden_states(config, weights, block)
+        states = hidden_states(config, weights, block)
         assert len(states) == layers + 1
         parts = [dict(block.split(state)) for state in states]
         for b in range(batch):
@@ -270,7 +304,7 @@ class TestRowBlocks:
         assert sum(len(block.segments) > 1 for block in blocks) >= 2
         checked = 0
         for block in blocks:
-            states = forward_hidden_states(config, weights, block)
+            states = hidden_states(config, weights, block)
             rows = sum(b * n for b, n in block.segments)
             assert [state.shape for state in states] == [(rows, d)] * (layers + 1)
             parts = [dict(block.split(state)) for state in states]

@@ -17,6 +17,7 @@ from asc.data import TokenDataset, save_dataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import hidden_states
 from asc.model import save_model
+from asc.planner import plan
 from asc.similarity import (
     SimilarityAccumulator,
     SimilarityMatrix,
@@ -556,6 +557,30 @@ class TestMatrixValidation:
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="square"):
             SimilarityMatrix(values=np.zeros((2, 3)), token_count=0).validate()
+
+    @pytest.mark.parametrize("values, got", [
+        (np.array([["1", "0"], ["0", "1"]]), "<U1"),
+        (np.eye(2).astype(object), "object"),
+        (np.eye(2, dtype=np.complex128), "complex128"),
+        (np.eye(2, dtype=bool), "bool"),
+        (np.eye(2, dtype=np.int64), "int64"),
+        (np.eye(2, dtype=np.float32), "float32"),
+        (np.zeros((2, 3), dtype=np.int64), "int64"),
+        ([[1.0, 0.0], [0.0, 1.0]], "list"),
+    ], ids=["str", "object", "complex", "bool", "int", "float32", "int, not square", "list"])
+    def test_only_float64_accepted(self, values, got, tmp_path):
+        """The dtype is checked first: a str or object matrix reached a raw
+        TypeError in np.isfinite, and a complex one was written without its
+        imaginary part."""
+        matrix = SimilarityMatrix(values=values, token_count=1)
+        message = rf"^similarity matrix must be a float64 array, got {got}$"
+        with pytest.raises(ValidationError, match=message):
+            matrix.validate()
+        with pytest.raises(ValidationError, match=message):
+            plan(matrix, 0.5)
+        with pytest.raises(ValidationError, match=message):
+            write_matrix_csv(matrix, tmp_path / "sim.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMatrixCsv:

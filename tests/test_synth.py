@@ -103,6 +103,15 @@ class TestGenModel:
             synth.gen_model(num_layers=1, hidden_dim=5, num_heads=2, ffn_dim=8,
                             vocab_size=10, identity_layers=[], seed=0)
 
+    @pytest.mark.parametrize("dims", [dict(ffn_dim=2 ** 63), dict(vocab_size=2 ** 62),
+                                      dict(max_seq_len=2 ** 61)], ids=lambda d: next(iter(d)))
+    def test_tensor_numpy_cannot_draw_rejected(self, dims):
+        """Refused before any draw: numpy would raise a raw ValueError."""
+        args = dict(num_layers=1, hidden_dim=8, num_heads=2, ffn_dim=8, vocab_size=10,
+                    identity_layers=[], seed=0)
+        with pytest.raises(ValidationError, match=r"tensor is \d+, beyond the \d+ values"):
+            synth.gen_model(**{**args, **dims})
+
 
 class TestGenDataset:
     def test_lengths_and_vocab_bounds(self):
@@ -134,6 +143,12 @@ class TestGenDataset:
             synth.gen_dataset(-1, 1, 3, 10, seed=0)
         with pytest.raises(ValidationError, match="vocab_size"):
             synth.gen_dataset(5, 1, 3, 0, seed=0)
+        with pytest.raises(ValidationError, match="^max_len is 9223372036854775808, beyond"):
+            synth.gen_dataset(5, 1, 2 ** 63, 10, seed=0)
+        with pytest.raises(ValidationError, match="^vocab_size is 9223372036854775809, beyond"):
+            synth.gen_dataset(5, 1, 3, 2 ** 63 + 1, seed=0)
+        largest = synth.gen_dataset(3, 1, 1, synth.MAX_DRAW, seed=0)
+        assert all(0 <= seq[0] < synth.MAX_DRAW for seq in largest.sequences)
 
 
 class TestArgumentsNotCoerced:
