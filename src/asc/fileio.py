@@ -15,19 +15,22 @@ def atomic_write(path, mode="w"):
     The temp file is created with mode 0o666, so the process umask decides
     the output's permissions as it would for a plain `open`. On any
     exception the temp file is removed, so a failed command never leaves a
-    partial output behind.
+    partial output behind. An OSError it raises names `path`, never the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as handle:
-            yield handle
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_path)
-        raise
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, mode) as handle:
+                yield handle
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
 
 
 def read_text(path) -> str:

@@ -186,19 +186,16 @@ def save_model(config: ModelConfig, weights: ModelWeights, path):
     layout, _ = _payload_layout(config)
     header = {"version": FORMAT_VERSION, "config": config.to_dict(), "tensors": layout}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    try:
-        with atomic_write(path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(struct.pack("<I", len(header_bytes)))
-            handle.write(header_bytes)
-            cursor = 0
-            for name, entry in layout.items():
-                handle.write(b"\0" * (entry["offset"] - cursor))
-                data = np.ascontiguousarray(weights.tensors[name], dtype="<f4")
-                handle.write(data)
-                cursor = entry["offset"] + data.nbytes
-    except OSError as exc:
-        raise OSError(f"failed to write model file {path}: {exc}") from exc
+    with atomic_write(path, "wb") as handle:
+        handle.write(MAGIC)
+        handle.write(struct.pack("<I", len(header_bytes)))
+        handle.write(header_bytes)
+        cursor = 0
+        for name, entry in layout.items():
+            handle.write(b"\0" * (entry["offset"] - cursor))
+            data = np.ascontiguousarray(weights.tensors[name], dtype="<f4")
+            handle.write(data)
+            cursor = entry["offset"] + data.nbytes
 
 
 def load_model(path):

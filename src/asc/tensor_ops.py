@@ -20,6 +20,11 @@ NORM_EPS = 1e-12
 # Added to the row variance inside `layernorm`'s square root.
 LAYERNORM_EPS = 1e-12
 
+# `softmax_rows` clamps max-shifted scores here, above ln(DBL_MIN) ~ -708.4 where `exp` turns slow
+# to return subnormals. No output bit moves: the max lane's exp(0) = 1 makes the row sum >= 1, and
+# a lane at the floor, clamped or not, is < 1e-304, a float32 +0 share that the sum absorbs.
+EXP_FLOOR = -700.0
+
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with float64 accumulation, stored as float32.
@@ -34,6 +39,7 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, with per-row max subtraction for stability."""
     shifted = x.astype(np.float64)
     shifted -= shifted.max(axis=-1, keepdims=True)
+    np.maximum(shifted, EXP_FLOOR, out=shifted)  # propagates NaN; -inf lanes still give +0
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=-1, keepdims=True)
     return shifted.astype(np.float32)

@@ -1,12 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
 Each one is written the slow, literal way on purpose: a per-vector cosine,
-a per-token view of the forward pass, a layer-by-layer final state, and a
-transliteration of the published scan. None of them is used by the
-pipeline itself. `one_block` and `sequence_states` run one sequence as
-the one row block of its own dataset, through the internal
-`forward.hidden_states`, so they stay independent of the public
-`forward_hidden_states`.
+a softmax without the `exp` floor, a per-token view of the forward pass, a
+layer-by-layer final state, and a transliteration of the published scan.
+None of them is used by the pipeline itself. `one_block` and
+`sequence_states` run one sequence as the one row block of its own dataset,
+through the internal `forward.hidden_states`, so they stay independent of
+the public `forward_hidden_states`.
 """
 
 from dataclasses import dataclass
@@ -35,6 +35,16 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
         return 0.0
     value = np.dot(u64, v64) / (norm_u * norm_v)
     return float(min(1.0, max(-1.0, value)))
+
+
+def unclamped_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """`tensor_ops.softmax_rows` without its `EXP_FLOOR` clamp: `exp` runs on
+    every max-shifted score, subnormal and underflowing ones included."""
+    shifted = x.astype(np.float64)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted.astype(np.float32)
 
 
 @dataclass

@@ -669,3 +669,49 @@ class TestEndToEnd:
         )
         assert result.returncode == 0
         assert (tmp_path / "d.txt").exists()
+
+
+# every command that writes --out, without it; {name} is an input file of `inputs`
+WRITERS = {
+    "synth": ["synth", "--layers", "1", "--hidden-dim", "4", "--heads", "2", "--ffn-dim", "8",
+              "--vocab", "10", "--seed", "0"],
+    "gen-data": ["gen-data", "--sequences", "2", "--min-len", "1", "--max-len", "3",
+                 "--vocab", "10", "--seed", "0"],
+    "analyze": ["analyze", "--model", "{model}", "--data", "{data}"],
+    "plan": ["plan", "--sim", "{sim}", "--threshold", "0.9"],
+    "prune": ["prune", "--model", "{model}", "--plan", "{plan}"],
+    "random-prune": ["random-prune", "--model", "{model}", "--count", "1", "--seed", "0"],
+    "render": ["render", "--sim", "{sim}"],
+    "forward": ["forward", "--model", "{model}", "--data", "{data}"],
+}
+
+
+class TestUnwritableOut:
+    """A failed write names the --out path, never the hidden temp file beside it."""
+
+    @pytest.fixture
+    def inputs(self, pipeline_files):
+        tmp_path, model, data = pipeline_files
+        files = {"model": model, "data": data, "sim": tmp_path / "sim.csv",
+                 "plan": tmp_path / "plan.json"}
+        assert main(["analyze", "--model", str(model), "--data", str(data),
+                     "--out", str(files["sim"])]) == 0
+        assert main(["plan", "--sim", str(files["sim"]), "--threshold", "0.999",
+                     "--out", str(files["plan"])]) == 0
+        return tmp_path, {name: str(path) for name, path in files.items()}
+
+    @pytest.mark.parametrize("where", ["missing-directory", "existing-directory"])
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_error_names_out(self, inputs, capsys, command, where):
+        tmp_path, files = inputs
+        out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path / "taken"
+        if where == "existing-directory":
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        argv = [arg.format(**files) for arg in WRITERS[command]]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(out)) in err and ".tmp-" not in err
+        assert sorted(tmp_path.rglob("*")) == before

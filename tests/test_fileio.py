@@ -38,3 +38,12 @@ def test_replaces_existing_file(tmp_path):
         handle.write(b"new")
     assert target.read_bytes() == b"new"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_os_error_names_the_target_not_the_temp_file(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as caught:
+        with atomic_write(target) as handle:
+            handle.write("never")
+    assert caught.value.filename == str(target)
+    assert ".tmp-" not in str(caught.value)

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asc.errors import ValidationError
-from asc.tensor_ops import GELU_COEF, gelu, layernorm, matmul, softmax_rows, unit_rows
-from oracles import cosine
+from asc.tensor_ops import EXP_FLOOR, GELU_COEF, gelu, layernorm, matmul, softmax_rows, unit_rows
+from oracles import cosine, unclamped_softmax_rows
+
+# Max-shifted scores around `EXP_FLOOR`: just above it, at it, at ln(DBL_MIN)
+# (exp's first subnormal), in exp's underflow to 0, and far below.
+SHIFTED_PLACEMENTS = (-699.0, -700.0, -708.4, -745.2, -1e6)
 
 
 def matmul_oracle(a, b):
@@ -84,6 +88,40 @@ class TestSoftmaxRows:
         out = softmax_rows(x)
         for index in np.ndindex(2, 3):
             npt.assert_array_equal(out[index], softmax_rows(x[index]))
+
+    def test_exp_floor_changes_no_bit_and_skips_subnormals(self):
+        # above ln(DBL_MIN), exp of a clamped lane is a normal float64 (exp's
+        # fast path); below ln(2**-150), half float32's least subnormal, a
+        # share at or below the floor rounds to float32 +0, clamped or not
+        assert math.log(np.finfo(np.float64).tiny) < EXP_FLOOR < math.log(2.0**-150)
+
+    # lengths 1-300 cross numpy's 8-lane unroll and 128-lane pairwise sum block
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(1, 300),
+           spread=st.just(0.0) | st.floats(-3, 30).map(lambda e: 10.0**e),
+           placed=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_unclamped_oracle(self, lead, n, spread, placed, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, n)
+        top = rng.uniform(-1e3, 1e3, (*lead, 1))
+        x = (top - rng.uniform(0.0, spread, shape)).astype(np.float32)
+        # about `placed` of the lanes sit at one of the placements after the shift
+        at = rng.choice(SHIFTED_PLACEMENTS, shape) + x.max(axis=-1, keepdims=True)
+        x = np.where(rng.random(shape) < placed, at.astype(np.float32), x)
+        out = softmax_rows(x)
+        assert out.dtype == np.float32
+        npt.assert_array_equal(out.view(np.uint32), unclamped_softmax_rows(x).view(np.uint32))
+
+    @pytest.mark.parametrize("row", [
+        [0.0, -np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [np.inf, 0.0, -1e6],
+        [np.inf, np.inf, 0.0], [np.inf, -np.inf, 0.0], [np.nan, 0.0, 1.0],
+        [-np.inf, np.nan, -800.0],
+    ])
+    def test_non_finite_rows_bit_equal_to_unclamped_oracle(self, row):
+        x = np.array([row, [0.0, -700.0, -745.2]], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            out, expected = softmax_rows(x), unclamped_softmax_rows(x)
+        npt.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
 
 
 class TestLayernorm:
