@@ -154,83 +154,66 @@ def _cmd_forward(args):
     print(f"wrote embeddings: {args.out} (tokens={dataset.total_tokens}, dim={config.hidden_dim})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": _int_arg, "required": True}
+_PATH = {"required": True}
+
+# name -> (handler, help, flags): the one definition of every command
+_COMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic model with planted identity layers", {
+        "--layers": _INT, "--hidden-dim": _INT, "--heads": _INT, "--ffn-dim": _INT,
+        "--vocab": _INT, "--max-seq-len": {"type": _int_arg, "default": 128},
+        "--identity-layers": {"default": "", "help": "comma-separated encoder indices (1-based)"},
+        "--seed": _INT, "--out": _PATH}),
+    "gen-data": (_cmd_gen_data, "generate a random token dataset", {
+        "--sequences": _INT, "--min-len": _INT, "--max-len": _INT, "--vocab": _INT,
+        "--seed": _INT, "--out": _PATH}),
+    "analyze": (_cmd_analyze, "build the layer-similarity matrix over a dataset", {
+        "--model": _PATH, "--data": _PATH, "--out": _PATH,
+        "--workers": {"type": _int_arg, "default": 1}}),
+    "plan": (_cmd_plan, "mark redundant layer blocks against a threshold", {
+        "--sim": _PATH, "--threshold": {"type": _float_arg, "required": True}, "--out": _PATH}),
+    "prune": (_cmd_prune, "apply a plan, emitting a physically smaller model", {
+        "--model": _PATH, "--plan": _PATH, "--out": _PATH}),
+    "random-prune": (_cmd_random_prune, "remove a random subset of layers (baseline)", {
+        "--model": _PATH, "--count": _INT, "--seed": _INT, "--out": _PATH}),
+    "render": (_cmd_render, "render a similarity matrix as a grayscale heatmap", {
+        "--sim": _PATH, "--out": _PATH}),
+    "compare": (_cmd_compare, "measure final-layer divergence between two models", {
+        "--model-a": _PATH, "--model-b": _PATH, "--data": _PATH}),
+    "forward": (_cmd_forward, "dump final-layer token embeddings as CSV", {
+        "--model": _PATH, "--data": _PATH, "--out": _PATH}),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `asc` parser with every command, or with `command`'s alone.
+
+    A one-command parser parses that command's arguments, and prints its
+    help, usage and errors, exactly as the full parser does, for a fraction
+    of the set-up cost.
+    """
     parser = argparse.ArgumentParser(
         prog="asc",
         description="Analyze layer similarity of an encoder model over a dataset and prune redundant layers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic model with planted identity layers")
-    p.add_argument("--layers", type=_int_arg, required=True)
-    p.add_argument("--hidden-dim", type=_int_arg, required=True)
-    p.add_argument("--heads", type=_int_arg, required=True)
-    p.add_argument("--ffn-dim", type=_int_arg, required=True)
-    p.add_argument("--vocab", type=_int_arg, required=True)
-    p.add_argument("--max-seq-len", type=_int_arg, default=128)
-    p.add_argument("--identity-layers", default="", help="comma-separated encoder indices (1-based)")
-    p.add_argument("--seed", type=_int_arg, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("gen-data", help="generate a random token dataset")
-    p.add_argument("--sequences", type=_int_arg, required=True)
-    p.add_argument("--min-len", type=_int_arg, required=True)
-    p.add_argument("--max-len", type=_int_arg, required=True)
-    p.add_argument("--vocab", type=_int_arg, required=True)
-    p.add_argument("--seed", type=_int_arg, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("analyze", help="build the layer-similarity matrix over a dataset")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=_int_arg, default=1)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("plan", help="mark redundant layer blocks against a threshold")
-    p.add_argument("--sim", required=True)
-    p.add_argument("--threshold", type=_float_arg, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("prune", help="apply a plan, emitting a physically smaller model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--plan", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_prune)
-
-    p = sub.add_parser("random-prune", help="remove a random subset of layers (baseline)")
-    p.add_argument("--model", required=True)
-    p.add_argument("--count", type=_int_arg, required=True)
-    p.add_argument("--seed", type=_int_arg, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_random_prune)
-
-    p = sub.add_parser("render", help="render a similarity matrix as a grayscale heatmap")
-    p.add_argument("--sim", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("compare", help="measure final-layer divergence between two models")
-    p.add_argument("--model-a", required=True)
-    p.add_argument("--model-b", required=True)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("forward", help="dump final-layer token embeddings as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_forward)
-
+    names = list(_COMMANDS) if command is None else [command]
+    # with one subparser the usage line would list only it; the full parser's
+    # own errors name the action `command`, so its metavar stays unset
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except (AscError, OSError, MemoryError) as exc:  # numpy names the size it could not allocate

@@ -23,6 +23,7 @@ from .fileio import atomic_write, parse_json_object, require_keys
 MAGIC = b"ASCMODL1"
 FORMAT_VERSION = 1
 NORM_MODES = ("standard", "none")
+_SCAN_CHUNK = 1 << 16  # float32 values per finiteness check in load_model
 
 
 @dataclass
@@ -204,14 +205,16 @@ def load_model(path):
     The header is read and checked first, and a payload size beyond the file
     is refused before anything is allocated. The payload is then read once
     into one buffer, and each tensor is a writable float32 view into it.
-    Every malformed input raises FormatError or ValidationError; a partially
+    `check_model` runs on the result, then one finiteness scan of the whole
+    payload. Every malformed input raises FormatError or ValidationError,
+    and an OSError keeps its subclass and names `path`; a partially
     constructed model is never returned.
     """
     try:
         with open(path, "rb") as handle:
             config, layout, payload = _read_container(handle, path)
     except OSError as exc:
-        raise OSError(f"failed to read model file {path}: {exc}") from exc
+        raise OSError(exc.errno, exc.strerror or str(exc), os.fspath(path)) from exc
     tensors = {}
     for name, entry in layout.items():
         offset = entry["offset"]
@@ -221,8 +224,22 @@ def load_model(path):
             .reshape(entry["shape"])
         )
     weights = ModelWeights(tensors)
-    validate_weights(config, weights)
+    check_model(config, weights)
+    if not _all_finite(payload.view("<f4")):
+        # the scan also read the padding between tensors, which no tensor
+        # holds; the per-tensor scan names the first bad tensor, if any
+        try:
+            validate_weights(config, weights)
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     return config, weights
+
+
+def _all_finite(values) -> bool:
+    """Whether every value of a 1-d float array is finite, scanned in chunks
+    so that no full-size temporary is allocated."""
+    return all(np.isfinite(values[i: i + _SCAN_CHUNK]).all()
+               for i in range(0, values.size, _SCAN_CHUNK))
 
 
 def _read_container(handle, path):

@@ -321,6 +321,57 @@ class TestDeeplyNestedJson:
                        tmp_path / "pruned.ascm")
 
 
+class TestBadModelFile:
+    """A model file that cannot be read or holds a non-finite value ends as
+    one `error:` line naming that file once."""
+
+    @pytest.fixture
+    def files(self, pipeline_files):
+        tmp_path, model, data = pipeline_files
+        plan_path = tmp_path / "plan.json"
+        assert main(["analyze", "--model", str(model), "--data", str(data),
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        assert main(["plan", "--sim", str(tmp_path / "sim.csv"), "--threshold", "0.999",
+                     "--out", str(plan_path)]) == 0
+        bad = tmp_path / "bad.ascm"
+        blob = model.read_bytes()
+        bad.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+        return tmp_path, model, bad, data, plan_path
+
+    def assert_one_error(self, capsys, argv, path, message):
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert err.count(str(path)) == 1
+
+    def test_prune_missing_model(self, files, capsys):
+        tmp_path, _, _, _, plan_path = files
+        missing, out = tmp_path / "absent.ascm", tmp_path / "pruned.ascm"
+        self.assert_one_error(
+            capsys, ["prune", "--model", str(missing), "--plan", str(plan_path),
+                     "--out", str(out)],
+            missing, f"[Errno 2] No such file or directory: {str(missing)!r}")
+        assert not out.exists()
+
+    def test_prune_non_finite_model(self, files, capsys):
+        tmp_path, _, bad, _, plan_path = files
+        out = tmp_path / "pruned.ascm"
+        self.assert_one_error(
+            capsys, ["prune", "--model", str(bad), "--plan", str(plan_path), "--out", str(out)],
+            bad, f"{bad}: weights: tensor 'layer.3.ln2.b' contains non-finite values")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_compare_names_the_bad_model(self, files, capsys, side):
+        _, model, bad, data, _ = files
+        models = {"a": model, "b": model, side: bad}
+        self.assert_one_error(
+            capsys, ["compare", "--model-a", str(models["a"]), "--model-b", str(models["b"]),
+                     "--data", str(data)],
+            bad, f"{bad}: weights: tensor 'layer.3.ln2.b' contains non-finite values")
+
+
 SYNTH_ARGS = ["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16",
               "--vocab", "20", "--seed", "0"]
 GEN_DATA_ARGS = ["gen-data", "--sequences", "3", "--min-len", "2", "--max-len", "4",

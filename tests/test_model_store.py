@@ -1,4 +1,6 @@
+import errno
 import json
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import synth
+from asc import model as model_module, synth
 from asc.cli import main
 from asc.errors import AscError, FormatError, ValidationError
 from asc.model import (
@@ -322,8 +324,17 @@ class TestLoadErrors:
             load_model(saved)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            load_model(tmp_path / "absent.ascm")
+        """The OSError keeps its subclass and errno and names the path once."""
+        path = tmp_path / "absent.ascm"
+        with pytest.raises(FileNotFoundError) as exc:
+            load_model(path)
+        assert exc.value.errno == errno.ENOENT and exc.value.filename == str(path)
+        assert str(exc.value).count(str(path)) == 1
+
+    def test_directory_is_a_directory_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as exc:
+            load_model(tmp_path)
+        assert exc.value.errno == errno.EISDIR and exc.value.filename == str(tmp_path)
 
     def test_header_corruption_never_yields_partial_model(self, saved):
         """Flip single header bytes; every outcome is an error or a fully
@@ -501,6 +512,104 @@ class TestLoadedTensors:
         assert err.startswith("error: ") and "truncated payload" in err
         assert peak < 1 << 20
         assert not out.exists()
+
+
+def put_float(path, offset, value):
+    """Overwrite the 4 payload bytes at `offset` of a saved model with `value`."""
+    blob, header_len, _ = read_header(path)
+    start = 12 + header_len + offset
+    path.write_bytes(blob[:start] + struct.pack("<f", value) + blob[start + 4:])
+
+
+class TestSingleScan:
+    """`load_model` scans the whole payload once; only a failed scan goes
+    tensor by tensor, to name the first bad tensor as `validate_weights` does."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        config, weights = make_model(num_layers=3, hidden_dim=4, num_heads=2, ffn_dim=8,
+                                     vocab_size=6, max_seq_len=5)
+        path = tmp_path / "m.ascm"
+        save_model(config, weights, path)
+        return config, weights, path
+
+    @staticmethod
+    def spoil(weights, path, bad):
+        """Write `bad` ({name: value}) into the last element of each named
+        tensor, in the file and in a copy of `weights`; return the copy."""
+        header = read_header(path)[2]
+        tensors = dict(weights.tensors)
+        for name, value in bad.items():
+            entry = header["tensors"][name]
+            put_float(path, entry["offset"] + 4 * (math.prod(entry["shape"]) - 1), value)
+            tensors[name] = tensors[name].copy()
+            tensors[name].reshape(-1)[-1] = value
+        return ModelWeights(tensors)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_names_the_tensor_validate_weights_names(self, saved, where, value):
+        config, weights, path = saved
+        names = list(tensor_shapes(config))
+        name = names[{"first": 0, "middle": len(names) // 2, "last": -1}[where]]
+        spoiled = self.spoil(weights, path, {name: value})
+        with pytest.raises(ValidationError) as expected:
+            validate_weights(config, spoiled)
+        assert repr(name) in str(expected.value)
+        with pytest.raises(FormatError) as got:
+            load_model(path)
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    def test_two_bad_tensors_name_the_first_in_schema_order(self, saved):
+        config, weights, path = saved
+        names = list(tensor_shapes(config))
+        # written last first, so file order of the writes cannot decide
+        spoiled = self.spoil(weights, path, {names[-1]: np.inf, names[7]: np.nan})
+        with pytest.raises(ValidationError) as expected:
+            validate_weights(config, spoiled)
+        with pytest.raises(FormatError, match=repr(names[7])) as got:
+            load_model(path)
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    def test_nan_in_padding_still_loads(self, tmp_path):
+        """An odd hidden_dim leaves 4-byte gaps between tensors; what they hold
+        is no tensor's value."""
+        config, weights = make_model(num_layers=2, hidden_dim=3, num_heads=1, ffn_dim=5,
+                                     vocab_size=5, max_seq_len=7)
+        path = tmp_path / "m.ascm"
+        save_model(config, weights, path)
+        entries = list(read_header(path)[2]["tensors"].values())
+        ends = [entry["offset"] + 4 * math.prod(entry["shape"]) for entry in entries]
+        gaps = [end for end, after in zip(ends, entries[1:]) if end < after["offset"]]
+        assert len(gaps) >= 3
+        for gap in gaps:
+            put_float(path, gap, np.nan)
+        _, loaded = load_model(path)
+        for name, tensor in weights.tensors.items():
+            assert loaded[name].tobytes() == tensor.tobytes()
+
+    def test_clean_file_is_not_scanned_per_tensor(self, saved, monkeypatch):
+        config, weights, path = saved
+        calls = []
+        monkeypatch.setattr(model_module, "validate_weights",
+                            lambda *args: calls.append(args))
+        load_model(path)
+        assert calls == []
+
+    def test_scan_makes_no_full_size_temporary(self, tmp_path):
+        config, weights = make_model(num_layers=1, hidden_dim=64, num_heads=2, ffn_dim=8,
+                                     vocab_size=20_000, max_seq_len=5)
+        path = tmp_path / "m.ascm"
+        save_model(config, weights, path)
+        payload = path.stat().st_size - 12 - read_header(path)[1]
+        tracemalloc.start()
+        try:
+            load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an isfinite mask of embed.token alone would be 1.28 MB
+        assert peak < payload + (256 << 10)
 
 
 class TestTensorShapes:
