@@ -13,7 +13,7 @@ import sys
 
 from . import data, heatmap, model, planner, similarity, surgery, synth
 from .errors import AscError, ValidationError
-from .fileio import atomic_write, sha256_file
+from .fileio import atomic_write
 from .forward import hidden_states
 
 # ASCII decimal digits, as the file loaders read ints; int() alone would also
@@ -83,8 +83,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_plan(args):
-    matrix = similarity.load_matrix_csv(args.sim)
-    fingerprint = sha256_file(args.sim)
+    matrix, fingerprint = similarity._read_matrix_csv(args.sim)
     result = planner.plan(matrix, args.threshold, matrix_fingerprint=fingerprint)
     planner.write_plan(result, args.out)
     pruned = result.redundant_layers
@@ -141,11 +140,10 @@ def _cmd_compare(args):
 def _cmd_forward(args):
     config, weights = model.load_model(args.model)  # checks the model once, for all blocks
     dataset = data.load_dataset(args.data)
-    finals = [None] * len(dataset)
     # keeps final layers only; forward_hidden_states would hold all L+1 of every sequence
-    for block in data.row_blocks(dataset, config):
-        for i, final in block.split(hidden_states(config, weights, block)[-1]):
-            finals[i] = final
+    finals = similarity._map_sequences(
+        lambda block: block.split(hidden_states(config, weights, block)[-1]),
+        dataset, (config,), workers=1)
     with atomic_write(args.out) as handle:
         for final in finals:
             for row in final:

@@ -1,7 +1,6 @@
-"""Small file helpers: atomic writes, text and JSON reads, content fingerprints."""
+"""Small file helpers: atomic writes, text and JSON reads."""
 
 import contextlib
-import hashlib
 import json
 import os
 
@@ -38,9 +37,14 @@ def read_text(path) -> str:
 
     Bytes that are not UTF-8 raise FormatError, not UnicodeDecodeError.
     """
+    with open(path, "rb") as handle:
+        return _decode_text(handle.read(), path)
+
+
+def _decode_text(data: bytes, path) -> str:
+    """`data`, the bytes of file `path`, decoded as `read_text` reads that file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
@@ -75,11 +79,3 @@ def require_keys(obj, keys, what: str, optional=()) -> dict:
         raise FormatError(f"{what}: unknown fields {sorted(unknown)}")
     return obj
 
-
-def sha256_file(path):
-    """Hex SHA-256 of a file's bytes; used to fingerprint matrix files."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

@@ -2,13 +2,15 @@
 
 Entry (i, j) is the average over all dataset tokens of the cosine
 similarity between layer i's and layer j's output vector for that token.
-Sums are kept in float64 and divided once at finalize; the result is
-mirrored from the upper triangle and the diagonal forced to exactly 1.0.
+Each sequence's sums are kept in float64, added in dataset order and divided
+once at finalize; the result is mirrored from the upper triangle and the
+diagonal forced to exactly 1.0.
 """
 
 import ctypes
 import functools
 import glob
+import hashlib
 import os
 import pickle
 import re
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import data
 from .errors import FormatError, ValidationError, require_int, require_type
-from .fileio import atomic_write, read_text
+from .fileio import _decode_text, atomic_write
 from .forward import hidden_states
 from .model import check_model
 from .tensor_ops import unit_rows
@@ -67,25 +69,17 @@ class SimilarityMatrix:
 
 
 class SimilarityAccumulator:
-    """Single-writer accumulator of per-token pairwise cosine sums; `analyze`
-    checks the model and dataset it is built for, so it re-checks neither."""
+    """Per-sequence pairwise cosine sums of a model's L+1 layer states, and the
+    matrix of their total; `analyze` checks the model and dataset it is
+    built for, so it re-checks neither."""
 
     def __init__(self, size: int):
         self.size = size
-        self._sums = np.zeros((size, size), dtype=np.float64)
-        self._count = 0
 
-    @property
-    def token_count(self) -> int:
-        return self._count
-
-    @property
-    def sums(self) -> np.ndarray:
-        return self._sums
-
-    def add_states(self, states):
-        """Accumulate the hidden states of a row block (a list of (rows, d)
-        arrays, one per layer)."""
+    def add_states(self, states, block) -> list:
+        """(dataset index, (L+1)x(L+1) cosine sums over that sequence's tokens)
+        for each sequence of a row block, given the block's hidden states (a
+        list of (rows, d) arrays, one per layer)."""
         # one layer at a time into one float64 block, so a batch holds no
         # float32 or float64 copy of its whole state stack beside it
         unit = np.empty((self.size, *states[0].shape))
@@ -93,20 +87,17 @@ class SimilarityAccumulator:
             unit[k] = unit_rows(state)
         grams = np.einsum("ind,jnd->nij", unit, unit)
         np.clip(grams, -1.0, 1.0, out=grams)
-        self._sums += grams.sum(axis=0)
-        self._count += unit.shape[1]
+        return [(i, seq_grams.sum(axis=0)) for i, seq_grams in block.split(grams)]
 
-    def merge(self, other: "SimilarityAccumulator"):
-        self._sums += other._sums
-        self._count += other._count
-
-    def finalize(self) -> SimilarityMatrix:
-        mean = self._sums / self._count
+    def finalize(self, sums, token_count: int) -> SimilarityMatrix:
+        """The matrix of per-sequence `sums`, added in the order given, over
+        `token_count` tokens."""
+        mean = sum(sums) / token_count
         upper = np.triu(mean, k=1)
         values = upper + upper.T
         np.fill_diagonal(values, 1.0)
         np.clip(values, -1.0, 1.0, out=values)
-        matrix = SimilarityMatrix(values=values, token_count=self._count)
+        matrix = SimilarityMatrix(values=values, token_count=token_count)
         matrix.validate()  # a NaN or inf state leaves non-finite sums
         return matrix
 
@@ -114,36 +105,22 @@ class SimilarityAccumulator:
 def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     """Run the dataset through the model once and return the similarity matrix.
 
-    The dataset is checked and runs in row blocks (`data.row_blocks`),
-    dealt round-robin to at most `workers` workers: at most one per block
-    and one per usable core. With a pool of P, a length batch holds at most
-    ceil(tokens / P) tokens (and at most MAX_BATCH_ROWS), so a dataset of
-    one length still fills every worker. Shard 0 runs in this process and
-    each other shard in a forked child (see `_map_shards`). Each worker
-    owns a private sum matrix, and the shards are merged in fixed worker
-    order, so results are stable to within addition reordering. The model
-    is checked once, before any fork.
+    The model is checked once, then the dataset runs on `_map_sequences`'
+    pool of at most `workers` workers. Each sequence's cosine sums are added
+    in dataset order, so the matrix is the same bit for bit at every worker
+    count.
     """
     workers = require_int("workers", workers, 1)
     check_model(config, weights)
     if config.num_layers == 0:
         raise ValidationError("cannot analyze a model with no encoder layers")
-    size = config.num_layers + 1
-    pool = min(workers, usable_cores())
-    blocks = data.row_blocks(dataset, config, workers=pool)
-    if not blocks:
+    acc = SimilarityAccumulator(config.num_layers + 1)
+    sums = _map_sequences(
+        lambda block: acc.add_states(hidden_states(config, weights, block), block),
+        dataset, (config,), workers)
+    if not sums:
         raise ValidationError("cannot analyze an empty dataset (0 tokens)")
-
-    def run_shard(shard):
-        acc = SimilarityAccumulator(size)
-        for block in shard:
-            acc.add_states(hidden_states(config, weights, block))
-        return acc
-
-    merged, *rest = _map_shards(run_shard, blocks, pool)
-    for part in rest:
-        merged.merge(part)
-    return merged.finalize()
+    return acc.finalize(sums, dataset.total_tokens)
 
 
 def usable_cores() -> int:
@@ -205,6 +182,31 @@ def single_threaded_blas():
 
 # kept private (perfbench's tracer wraps public names) so worker spans stay under
 # analyze or compare_models
+def _map_sequences(fn, dataset, configs, workers: int) -> list:
+    """`fn`'s result for each sequence of `dataset`, in dataset order.
+
+    The pool has P = min(`workers`, usable cores) workers. The dataset is
+    checked and packed into row blocks against every one of `configs`
+    (`data.row_blocks`) at that P: a length batch holds at most ceil(tokens
+    / P) tokens (and at most MAX_BATCH_ROWS), so a dataset of one length
+    still fills every worker. Whole blocks are dealt round-robin to at most
+    P shards, at most one per block, which run on `_map_shards`: shard 0 in
+    this process, each other one in a forked child. `fn(block)` returns
+    `(dataset index, result)` for each sequence of its block. A sequence's
+    states do not depend on the block or shard it runs in, so results
+    reduced in dataset order are the same bit for bit at every worker count.
+    An empty dataset gives [].
+    """
+    pool = min(workers, usable_cores())
+    blocks = data.row_blocks(dataset, *configs, workers=pool)
+    results = [None] * len(dataset)
+    for part in _map_shards(lambda shard: [pair for block in shard for pair in fn(block)],
+                            blocks, pool):
+        for i, result in part:
+            results[i] = result
+    return results
+
+
 def _map_shards(fn, items, workers: int) -> list:
     """`fn(shard)` for each round-robin shard of `items`, in shard order.
 
@@ -285,7 +287,15 @@ def write_matrix_csv(matrix: SimilarityMatrix, path):
 
 
 def load_matrix_csv(path) -> SimilarityMatrix:
-    text = read_text(path)
+    return _read_matrix_csv(path)[0]
+
+
+def _read_matrix_csv(path) -> tuple:
+    """(matrix, hex SHA-256 of the file's bytes), from one read of the file,
+    so the bytes of a pipe are both parsed and fingerprinted."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    text = _decode_text(raw, path)
     if not text:
         raise FormatError(f"{path}:1: empty matrix file")
     # "\n" and ASCII whitespace only: splitlines() and strip() also act on
@@ -316,4 +326,4 @@ def load_matrix_csv(path) -> SimilarityMatrix:
         matrix.validate()
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return matrix
+    return matrix, hashlib.sha256(raw).hexdigest()

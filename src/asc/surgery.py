@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import similarity
-from .data import row_blocks
 from .errors import ValidationError, require_int, require_type
 from .forward import embed, encoder_layer, hidden_states
 from .model import ModelWeights, check_model, layer_shapes
@@ -83,15 +82,15 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset,
                    workers: int = 1) -> DivergenceReport:
     """Per-token cosine and max-abs-difference between final-layer outputs.
 
-    The dataset is checked against both models and runs in row blocks
-    (`data.row_blocks`), dealt to shards as `analyze` deals them. A runs
-    once per block and keeps every state. Where B's slot holds one of A's
-    layers (same id, same tensor bits) and B's input to it has the bits of
-    that layer's input in A, B takes A's output instead of running the
-    layer: the same tensors on the same bits give the same bits. Both models
-    are checked once, before any fork, and a NaN or inf final state is
-    refused, not reported. Cosines are summed per sequence, then in dataset
-    order, so the report is the same bit for bit at every worker count.
+    Both models are checked once, then the dataset, checked against both,
+    runs on `similarity._map_sequences`' pool of at most `workers` workers.
+    A runs once per block and keeps every state. Where B's slot holds one of
+    A's layers (same id, same tensor bits) and B's input to it has the bits
+    of that layer's input in A, B takes A's output instead of running the
+    layer: the same tensors on the same bits give the same bits. A NaN or
+    inf final state is refused, not reported. Cosines are summed per
+    sequence, then in dataset order, so the report is the same bit for bit
+    at every worker count.
     """
     workers = require_int("workers", workers, 1)
     check_model(config_a, weights_a)
@@ -100,51 +99,41 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset,
         raise ValidationError(
             f"models have different hidden dims: {config_a.hidden_dim} vs {config_b.hidden_dim}"
         )
-    pool = min(workers, similarity.usable_cores())
-    blocks = row_blocks(dataset, config_a, config_b, workers=pool)
-    if not blocks:
-        raise ValidationError("cannot compare over an empty dataset (0 tokens)")
     same_embed, pairs = _shared_with(config_a, weights_a, config_b, weights_b)
 
-    def run_shard(shard):
-        """({sequence index: cosine sum}, min cosine, max abs diff) of a shard's blocks."""
-        seq_sums, cos_min, diff_max = {}, np.inf, 0.0
-        for block in shard:
-            states_a = hidden_states(config_a, weights_a, block)
-            state = states_a[0] if same_embed else embed(config_b, weights_b, block)
-            for s in range(config_b.num_layers):
-                k = pairs.get(s)
-                if k is not None and _same_bits(state, states_a[k]):
-                    state = states_a[k + 1]
-                else:
-                    state = encoder_layer(config_b, weights_b, s, state, block.segments)
-            out_a = states_a[-1].astype(np.float64)
-            out_b = state.astype(np.float64)
-            if not (np.isfinite(out_a).all() and np.isfinite(out_b).all()):
-                raise ValidationError("the models' final-layer states hold non-finite values")
-            unit_a = unit_rows(out_a)
-            cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
-            # bit-identical live rows (non-zero unit vectors) score exactly 1,
-            # so comparing a model with itself reads mean 1.0 / max diff 0
-            # instead of 1 - ulp
-            cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
-            np.clip(cos, -1.0, 1.0, out=cos)
-            for i, seq_cos in block.split(cos):
-                seq_sums[i] = seq_cos.sum()
-            cos_min = min(cos_min, cos.min())
-            diff_max = max(diff_max, np.abs(out_a - out_b).max())
-        return seq_sums, cos_min, diff_max
+    def compare_block(block):
+        """(dataset index, (cosine sum, min cosine, max abs diff)) of each sequence of a block."""
+        states_a = hidden_states(config_a, weights_a, block)
+        state = states_a[0] if same_embed else embed(config_b, weights_b, block)
+        for s in range(config_b.num_layers):
+            k = pairs.get(s)
+            if k is not None and _same_bits(state, states_a[k]):
+                state = states_a[k + 1]
+            else:
+                state = encoder_layer(config_b, weights_b, s, state, block.segments)
+        out_a = states_a[-1].astype(np.float64)
+        out_b = state.astype(np.float64)
+        if not (np.isfinite(out_a).all() and np.isfinite(out_b).all()):
+            raise ValidationError("the models' final-layer states hold non-finite values")
+        unit_a = unit_rows(out_a)
+        cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
+        # bit-identical live rows (non-zero unit vectors) score exactly 1,
+        # so comparing a model with itself reads mean 1.0 / max diff 0
+        # instead of 1 - ulp
+        cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
+        np.clip(cos, -1.0, 1.0, out=cos)
+        diff = np.abs(out_a - out_b).max(axis=1)
+        return [(i, (seq_cos.sum(), seq_cos.min(), seq_diff.max()))
+                for (i, seq_cos), (_, seq_diff) in zip(block.split(cos), block.split(diff))]
 
-    seq_sums, cos_min, diff_max = {}, np.inf, 0.0
-    for shard_sums, shard_min, shard_max in similarity._map_shards(run_shard, blocks, pool):
-        seq_sums.update(shard_sums)
-        cos_min, diff_max = min(cos_min, shard_min), max(diff_max, shard_max)
-    # summed per sequence, in dataset order, whatever the blocks and shards
-    cos_sum = sum(seq_sums[i] for i in range(len(dataset)))
+    per_sequence = similarity._map_sequences(compare_block, dataset, (config_a, config_b), workers)
+    if not per_sequence:
+        raise ValidationError("cannot compare over an empty dataset (0 tokens)")
+    cos_sums, cos_mins, diff_maxes = zip(*per_sequence)
     count = dataset.total_tokens
     return DivergenceReport(
         token_count=count,
-        mean_cosine=float(cos_sum / count),
-        min_cosine=float(cos_min),
-        max_abs_diff=float(diff_max),
+        mean_cosine=float(sum(cos_sums) / count),
+        min_cosine=float(min(cos_mins)),
+        max_abs_diff=float(max(diff_maxes)),
     )

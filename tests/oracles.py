@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from asc.data import TokenDataset, row_blocks
+from asc.data import RowBlock, TokenDataset, row_blocks
 from asc.errors import ValidationError
 from asc.forward import embed, encoder_layer, hidden_states
 from asc.tensor_ops import NORM_EPS
@@ -87,13 +87,16 @@ def final_hidden_state(config, weights, tokens) -> np.ndarray:
     return state
 
 
-def add_frame(acc, frame):
-    """Accumulate one token's L+1 layer outputs into a SimilarityAccumulator."""
+def frame_sums(acc, frame):
+    """One token's (L+1)x(L+1) cosine sums from a SimilarityAccumulator, run as
+    the one-token sequence 0 of a block of its own."""
     if len(frame.layer_outputs) != acc.size:
         raise ValidationError(
             f"frame has {len(frame.layer_outputs)} layer outputs, accumulator expects {acc.size}"
         )
-    acc.add_states([out[None, :] for out in frame.layer_outputs])
+    block = RowBlock((([0], np.zeros((1, 1), dtype=np.int64)),))
+    ((_, sums),) = acc.add_states([out[None, :] for out in frame.layer_outputs], block)
+    return sums
 
 
 def replay_oracle(sim, threshold: float):

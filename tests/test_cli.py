@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -123,15 +125,18 @@ class TestAnalyze:
                      "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0].startswith("# asc-sim v1 layers=13")
 
-    def test_workers_agree(self, pipeline_files):
+    def test_workers_agree(self, pipeline_files, monkeypatch):
+        """`--workers 1` and `--workers 4` write the same bytes."""
         tmp_path, model, data = pipeline_files
+        assert main(["gen-data", "--sequences", "30", "--min-len", "1", "--max-len", "12",
+                     "--vocab", "40", "--seed", "8", "--out", str(data)]) == 0
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 4)
         single, multi = tmp_path / "s1.csv", tmp_path / "s4.csv"
         assert main(["analyze", "--model", str(model), "--data", str(data),
                      "--out", str(single), "--workers", "1"]) == 0
         assert main(["analyze", "--model", str(model), "--data", str(data),
                      "--out", str(multi), "--workers", "4"]) == 0
-        npt.assert_allclose(load_matrix_csv(single).values,
-                            load_matrix_csv(multi).values, atol=1e-9)
+        assert single.read_bytes() == multi.read_bytes()
 
     def test_embedding_only_model_refused(self, pipeline_files, capsys):
         tmp_path, model, data = pipeline_files
@@ -186,6 +191,23 @@ class TestPlan:
         assert loaded.redundant_layers == (1, 3)
         assert loaded.anchors == ((0, 1), (2, 3))
         assert loaded.matrix_fingerprint is not None
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
+    def test_fingerprint_of_a_pipe(self, tmp_path):
+        """A matrix given as a pipe is parsed and fingerprinted from one reading."""
+        sim = tmp_path / "sim.csv"
+        write_matrix(sim, HAND_VALUES)
+        raw = sim.read_bytes()
+        out = tmp_path / "plan.json"
+        read_fd, write_fd = os.pipe()
+        try:
+            with open(write_fd, "wb") as pipe:
+                pipe.write(raw)
+            assert main(["plan", "--sim", f"/dev/fd/{read_fd}", "--threshold", "0.9",
+                         "--out", str(out)]) == 0
+        finally:
+            os.close(read_fd)
+        assert load_plan(out).matrix_fingerprint == hashlib.sha256(raw).hexdigest()
 
     def test_threshold_out_of_range(self, tmp_path, capsys):
         sim = tmp_path / "sim.csv"

@@ -12,8 +12,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asc import cli, similarity, synth
-from asc.data import TokenDataset, save_dataset
+from asc import cli, data, similarity, synth
+from asc.data import TokenDataset, row_blocks, save_dataset
 from asc.errors import FormatError, ValidationError
 from asc.forward import hidden_states
 from asc.model import save_model
@@ -26,7 +26,13 @@ from asc.similarity import (
     write_matrix_csv,
 )
 from conftest import make_model
-from oracles import add_frame, cosine, forward_with_taps, sequence_states
+from oracles import (
+    LayerTapFrame,
+    cosine,
+    forward_with_taps,
+    frame_sums,
+    one_block,
+)
 
 
 def analyze_oracle(config, weights, dataset):
@@ -74,81 +80,66 @@ def assert_no_children():
 
 
 class TestAccumulator:
-    def test_size_13_starts_zeroed(self):
-        acc = SimilarityAccumulator(13)
-        assert acc.sums.shape == (13, 13)
-        npt.assert_array_equal(acc.sums, np.zeros((13, 13)))
-        assert acc.token_count == 0
-
-    def test_size_2_starts_zeroed(self):
-        acc = SimilarityAccumulator(2)
-        npt.assert_array_equal(acc.sums, np.zeros((2, 2)))
-
     def test_equal_outputs_contribute_one_per_pair(self):
         acc = SimilarityAccumulator(3)
         v = np.array([1.0, 2.0, -1.0], dtype=np.float32)
-        acc.add_states([v[None, :], v[None, :], v[None, :]])
-        npt.assert_allclose(acc.sums, np.ones((3, 3)), atol=1e-12)
-        assert acc.token_count == 1
+        sums = frame_sums(acc, LayerTapFrame(0, [v, v, v]))
+        npt.assert_allclose(sums, np.ones((3, 3)), atol=1e-12)
+        matrix = acc.finalize([sums], 1)
+        npt.assert_array_equal(matrix.values, np.ones((3, 3)))
+        assert matrix.token_count == 1
 
     def test_hand_computed_contributions(self):
         # e0=[1,0], e1=[0,1], e2=[1,0]: orthogonal pairs contribute 0,
         # the parallel pair contributes 1.
         acc = SimilarityAccumulator(3)
-        e0 = np.array([[1.0, 0.0]], dtype=np.float32)
-        e1 = np.array([[0.0, 1.0]], dtype=np.float32)
-        e2 = np.array([[1.0, 0.0]], dtype=np.float32)
-        acc.add_states([e0, e1, e2])
-        assert abs(acc.sums[0, 1]) < 1e-12
-        assert abs(acc.sums[0, 2] - 1.0) < 1e-12
-        assert abs(acc.sums[1, 2]) < 1e-12
+        e0 = np.array([1.0, 0.0], dtype=np.float32)
+        e1 = np.array([0.0, 1.0], dtype=np.float32)
+        e2 = np.array([1.0, 0.0], dtype=np.float32)
+        sums = frame_sums(acc, LayerTapFrame(0, [e0, e1, e2]))
+        assert abs(sums[0, 1]) < 1e-12
+        assert abs(sums[0, 2] - 1.0) < 1e-12
+        assert abs(sums[1, 2]) < 1e-12
         for k in range(3):
-            assert abs(acc.sums[k, k] - 1.0) < 1e-12
+            assert abs(sums[k, k] - 1.0) < 1e-12
 
     def test_dead_vector_contributes_zero(self):
         acc = SimilarityAccumulator(2)
-        zero = np.zeros((1, 3), dtype=np.float32)
-        live = np.ones((1, 3), dtype=np.float32)
-        acc.add_states([zero, live])
-        assert acc.sums[0, 1] == 0.0
-        assert acc.sums[0, 0] == 0.0
-        assert acc.sums[1, 1] == 1.0
+        zero = np.zeros(3, dtype=np.float32)
+        live = np.ones(3, dtype=np.float32)
+        sums = frame_sums(acc, LayerTapFrame(0, [zero, live]))
+        assert sums[0, 1] == 0.0
+        assert sums[0, 0] == 0.0
+        assert sums[1, 1] == 1.0
 
-    def test_order_independent_within_tolerance(self, tiny_model):
+    def test_order_independent_exactly(self, tiny_model):
+        """A sequence's sums are the same bits in a block with others and in
+        a block of its own, whatever ran before; added in dataset order, they
+        give one matrix."""
         config, weights = tiny_model
-        sequences = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
-        frames = []
-        for seq in sequences:
-            frames.extend(forward_with_taps(config, weights, seq))
-        forward_order = SimilarityAccumulator(config.num_layers + 1)
-        reverse_order = SimilarityAccumulator(config.num_layers + 1)
-        for frame in frames:
-            add_frame(forward_order, frame)
-        for frame in reversed(frames):
-            add_frame(reverse_order, frame)
-        npt.assert_allclose(forward_order.sums, reverse_order.sums, atol=1e-12)
+        dataset = TokenDataset([[1, 2, 3], [4, 5, 6], [7, 8], [9], [10, 11, 12, 13], [3, 2, 1]])
+        acc = SimilarityAccumulator(config.num_layers + 1)
+        together = {}
+        for block in row_blocks(dataset, config):
+            together.update(acc.add_states(hidden_states(config, weights, block), block))
+        alone = {}
+        for i in reversed(range(len(dataset))):
+            block = one_block(config, dataset.sequences[i])
+            ((_, alone[i]),) = acc.add_states(hidden_states(config, weights, block), block)
+        for i in range(len(dataset)):
+            npt.assert_array_equal(together[i].view(np.uint64), alone[i].view(np.uint64))
+        tokens = dataset.total_tokens
+        in_order = acc.finalize([together[i] for i in range(len(dataset))], tokens)
+        npt.assert_array_equal(in_order.values.view(np.uint64),
+                               acc.finalize([alone[i] for i in range(len(dataset))], tokens)
+                               .values.view(np.uint64))
 
     def test_frame_size_mismatch_rejected(self, tiny_model):
         config, weights = tiny_model
         acc = SimilarityAccumulator(config.num_layers + 2)
         frame = next(iter(forward_with_taps(config, weights, [1])))
         with pytest.raises(ValidationError, match="layer outputs"):
-            add_frame(acc, frame)
-
-    def test_merge_equals_single_accumulator(self, tiny_model):
-        config, weights = tiny_model
-        size = config.num_layers + 1
-        states_a = sequence_states(config, weights, [1, 2, 3])
-        states_b = sequence_states(config, weights, [4, 5])
-        combined = SimilarityAccumulator(size)
-        combined.add_states(states_a)
-        combined.add_states(states_b)
-        part_a, part_b = SimilarityAccumulator(size), SimilarityAccumulator(size)
-        part_a.add_states(states_a)
-        part_b.add_states(states_b)
-        part_a.merge(part_b)
-        npt.assert_allclose(part_a.sums, combined.sums, atol=1e-12)
-        assert part_a.token_count == combined.token_count
+            frame_sums(acc, frame)
 
 
 class TestAnalyze:
@@ -194,13 +185,12 @@ class TestAnalyze:
         single = analyze(config, weights, dataset, workers=1)
         multi = analyze(config, weights, dataset, workers=4)
         assert single.token_count == multi.token_count
-        npt.assert_allclose(single.values, multi.values, atol=1e-9)
+        npt.assert_array_equal(single.values, multi.values)
 
     def test_more_workers_than_sequences(self, monkeypatch):
         """The pool has min(workers, batches, cores) workers, all but the
-        first forked; its shards and their merge order are those of
-        workers == pool size. Every sequence here has its own length, so
-        each is one batch."""
+        first forked; its shards are those of workers == pool size. Every
+        sequence here has its own length, so each is one batch."""
         forks = []
         real_fork = os.fork
 
@@ -220,7 +210,7 @@ class TestAnalyze:
             assert forks == [os.getpid()] * (2 * (pool - 1))
             npt.assert_array_equal(capped.values, exact.values)
             assert capped.token_count == exact.token_count
-            npt.assert_allclose(capped.values, single.values, atol=1e-9)
+            npt.assert_array_equal(capped.values, single.values)
 
     def test_pool_runs_the_one_worker_batches(self, monkeypatch, tmp_path):
         """Workers share out whole row blocks: a pool runs the blocks that
@@ -242,7 +232,7 @@ class TestAnalyze:
         assert single_blocks == [((3, 3), (3, 4)), ((3, 5),), ((3, 6),), ((3, 7),), ((3, 8),)]
         assert sorted(blocks) == single_blocks
         assert multi.token_count == single.token_count
-        npt.assert_allclose(multi.values, single.values, atol=1e-9)
+        npt.assert_array_equal(multi.values, single.values)
 
     def test_equal_lengths_fill_every_worker(self, monkeypatch, tmp_path):
         """One length bucket is split so that each worker gets a batch."""
@@ -260,7 +250,7 @@ class TestAnalyze:
         # shard 0 in this process, shard 1 in a child
         assert len({pid for pid, _ in calls}) == 2 and os.getpid() in {pid for pid, _ in calls}
         assert multi.token_count == single.token_count
-        npt.assert_allclose(multi.values, single.values, atol=1e-9)
+        npt.assert_array_equal(multi.values, single.values)
 
     def test_empty_dataset_rejected(self, tiny_model):
         config, weights = tiny_model
@@ -290,16 +280,36 @@ class TestAnalyze:
     def test_scaled_frames_leave_matrix_unchanged(self, tiny_model):
         # cosine scale invariance, applied directly to recorded states
         config, weights = tiny_model
-        size = config.num_layers + 1
+        acc = SimilarityAccumulator(config.num_layers + 1)
         scaled_layer = 1
-        plain, scaled = SimilarityAccumulator(size), SimilarityAccumulator(size)
+        plain, scaled = [], []
         for seq in [[1, 2, 3], [4, 5]]:
-            states = sequence_states(config, weights, seq)
-            plain.add_states(states)
+            block = one_block(config, seq)
+            states = hidden_states(config, weights, block)
+            plain.extend(sums for _, sums in acc.add_states(states, block))
             states_scaled = list(states)
             states_scaled[scaled_layer] = states_scaled[scaled_layer] * np.float32(2.5)
-            scaled.add_states(states_scaled)
-        npt.assert_allclose(plain.finalize().values, scaled.finalize().values, atol=1e-6)
+            scaled.extend(sums for _, sums in acc.add_states(states_scaled, block))
+        npt.assert_allclose(acc.finalize(plain, 5).values, acc.finalize(scaled, 5).values,
+                            atol=1e-6)
+
+    @pytest.mark.parametrize("norm_mode", ["standard", "none"])
+    def test_bit_identical_at_every_worker_count_and_batch_cap(self, monkeypatch, norm_mode):
+        """Sequence sums are added in dataset order, so neither the pool size
+        nor the batch cap moves a bit of the matrix."""
+        monkeypatch.setattr(similarity, "usable_cores", lambda: 4)
+        config, weights = make_model(num_layers=4, hidden_dim=16, num_heads=2, ffn_dim=24,
+                                     vocab_size=40, norm_mode=norm_mode, seed=3)
+        rng = np.random.default_rng(11)
+        # lengths 1-16, length-1 sequences included
+        dataset = TokenDataset([rng.integers(0, 40, n).tolist() for n in rng.integers(1, 17, 60)]
+                               + [[5], [7]])
+        reference = analyze(config, weights, dataset).values.view(np.uint64)
+        for max_rows in (1, 7, 64):
+            monkeypatch.setattr(data, "MAX_BATCH_ROWS", max_rows)
+            for workers in (1, 2, 3, 4):
+                matrix = analyze(config, weights, dataset, workers=workers)
+                npt.assert_array_equal(matrix.values.view(np.uint64), reference)
 
 
 class FakeBlas:
@@ -395,8 +405,8 @@ class TestBlasPin:
         monkeypatch.setattr(similarity, "usable_cores", lambda: 2)
         config, weights = make_model(num_layers=3, hidden_dim=8, num_heads=2, ffn_dim=12)
         dataset = synth.gen_dataset(9, 2, 12, config.vocab_size, seed=4)
-        npt.assert_allclose(analyze(config, weights, dataset, workers=2).values,
-                            analyze(config, weights, dataset, workers=1).values, atol=1e-9)
+        npt.assert_array_equal(analyze(config, weights, dataset, workers=2).values,
+                               analyze(config, weights, dataset, workers=1).values)
 
     def test_real_openblas_pinned_in_pool_and_restored(self, monkeypatch, tiny_model):
         handle = similarity._openblas_threads()
