@@ -2,7 +2,6 @@
 
 from .data import TokenDataset, load_dataset, save_dataset
 from .errors import AscError, FormatError, ValidationError
-from .forward import forward_hidden_states
 from .model import ModelConfig, ModelWeights, load_model, save_model
 from .planner import PrunePlan, load_plan, plan, plan_random, write_plan
 from .similarity import SimilarityMatrix, analyze, load_matrix_csv, write_matrix_csv
@@ -22,7 +21,6 @@ __all__ = [
     "analyze",
     "apply_plan",
     "compare_models",
-    "forward_hidden_states",
     "gen_dataset",
     "gen_model",
     "load_dataset",

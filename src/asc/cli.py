@@ -38,9 +38,9 @@ def _float_arg(text: str) -> float:
 
 
 def _cmd_synth(args):
-    parts = [part.strip(string.whitespace) for part in args.identity_layers.split(",")]
+    parts = args.identity_layers.split(",") if args.identity_layers else []
     try:
-        identity = [_int_arg(part) for part in parts if part]
+        identity = [_int_arg(part.strip(string.whitespace)) for part in parts]
     except argparse.ArgumentTypeError as exc:
         raise ValidationError(
             f"--identity-layers must be comma-separated integers, got {args.identity_layers!r}"
@@ -140,7 +140,7 @@ def _cmd_compare(args):
 def _cmd_forward(args):
     config, weights = model.load_model(args.model)  # checks the model once, for all blocks
     dataset = data.load_dataset(args.data)
-    # keeps final layers only; forward_hidden_states would hold all L+1 of every sequence
+    # keeps only each sequence's final layer; a block's other states are freed with it
     finals = similarity._map_sequences(
         lambda block: block.split(hidden_states(config, weights, block)[-1]),
         dataset, (config,), workers=1)

@@ -49,14 +49,24 @@ def _decode_text(data: bytes, path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_json_object(data: bytes, path, version: int, what: str) -> dict:
-    """The JSON object in UTF-8 `data`, with `version` exactly the int `version`;
-    anything else raises FormatError naming the document as `what`."""
+    """The JSON object in UTF-8 `data`, no key repeated, with `version` exactly the int
+    `version`; anything else raises FormatError naming the document as `what`."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError: not UTF-8, not JSON, or an integer beyond the interpreter's
-        # digit limit; RecursionError: nesting deeper than the decoder can follow
+        # ValueError: not UTF-8, not JSON, a repeated key, or an integer beyond the
+        # interpreter's digit limit; RecursionError: nesting deeper than the decoder can follow
         raise FormatError(f"{path}: unparseable {what} ({exc})") from exc
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: {what} is not a JSON object")

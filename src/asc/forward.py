@@ -6,9 +6,10 @@ index k (1..L) the output of encoder layer k. Layers are post-norm
 skipped, which makes a layer with zero value/output/FFN projections an
 exact residual passthrough.
 
-Only `forward_hidden_states` checks its arguments: the model by
-`model.check_model`, the `TokenDataset` by `data.row_blocks`, whose blocks
-the other functions take unchecked. A block's states are (rows, d), one row
+These kernels check none of their arguments. Their callers do:
+`similarity.analyze` and `surgery.compare_models` run `model.check_model`,
+`asc forward` runs on a model `model.load_model` checked, and every block
+comes from `data.row_blocks`, which checks the dataset. A block's states are (rows, d), one row
 per token, with each sequence's rows consecutive and each length segment's
 (B, n) sequences in one run; there is no padding and no mask. Embedding,
 projections, the FFN and the layernorms run once over all rows; attention
@@ -21,8 +22,6 @@ import math
 import numpy as np
 
 from . import tensor_ops
-from .data import row_blocks
-from .model import check_model
 
 
 def embed(config, weights, block) -> np.ndarray:
@@ -87,19 +86,6 @@ def encoder_layer(config, weights, k, rows, segments) -> np.ndarray:
     if config.norm_mode == "standard":
         y = tensor_ops.layernorm(y, weights[f"{prefix}.ln2.g"], weights[f"{prefix}.ln2.b"])
     return y
-
-
-def forward_hidden_states(config, weights, dataset) -> list:
-    """Each sequence's L+1 hidden states as one float32 (L+1, n, d) array, in
-    dataset order, equal bit for bit to that sequence's states on its own."""
-    check_model(config, weights)
-    blocks = row_blocks(dataset, config)
-    per_sequence = [None] * len(dataset)
-    for block in blocks:
-        stack = np.stack(hidden_states(config, weights, block))  # (L+1, rows, d)
-        for i, rows in block.split(stack.swapaxes(0, 1)):
-            per_sequence[i] = rows.swapaxes(0, 1)  # a view; the stack holds only these states
-    return per_sequence
 
 
 def hidden_states(config, weights, block) -> list:

@@ -72,8 +72,8 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
               vocab_size: int, identity_layers, seed: int, max_seq_len: int = 128):
     """Deterministically generate a norm-free model with planted identity layers.
 
-    `identity_layers` uses the 1-based encoder indexing shared with the
-    similarity matrix (index 0 is the embedding and cannot be planted).
+    `identity_layers` holds distinct 1-based encoder indices, as the similarity
+    matrix counts them (index 0 is the embedding and cannot be planted).
     Every value is finite by construction; `model.save_model` scans them all.
     """
     require_int("seed", seed, 0)
@@ -87,8 +87,11 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         norm_mode="none",
     )
     config.validate()
-    identity = {require_int("identity layer index", i, 1)
-                for i in require_type("identity_layers", identity_layers, Iterable)}
+    identity = set()
+    for i in require_type("identity_layers", identity_layers, Iterable):
+        if require_int("identity layer index", i, 1) in identity:
+            raise ValidationError(f"identity layer {i} given twice")
+        identity.add(i)
     invalid = sorted(i for i in identity if i > num_layers)
     if invalid:
         raise ValidationError(f"identity layers {invalid} outside encoder range 1..{num_layers}")

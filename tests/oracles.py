@@ -5,8 +5,8 @@ a softmax without the `exp` floor, a per-token view of the forward pass, a
 layer-by-layer final state, and a transliteration of the published scan.
 None of them is used by the pipeline itself. `one_block` and
 `sequence_states` run one sequence as the one row block of its own dataset,
-through the internal `forward.hidden_states`, so they stay independent of
-the public `forward_hidden_states`.
+through `forward.hidden_states`, so a sequence's states in a block of many
+can be checked against its states on its own.
 """
 
 from dataclasses import dataclass

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from asc import forward, similarity, synth
+from asc import similarity, synth
 from asc import model as model_module
 from asc.cli import main
 from asc.data import TokenDataset, row_blocks
@@ -438,11 +438,12 @@ class TestStrictNumbers:
         assert f"argument {flag}: invalid " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["\u0662", "2,\u0663", "1_0", "+2", "2,\u00a03"],
-                             ids=ascii)
+    @pytest.mark.parametrize("value", ["\u0662", "2,\u0663", "1_0", "+2", "2,\u00a03",
+                                       "2,2", "2,,3", ","], ids=ascii)
     def test_identity_layers(self, tmp_path, capsys, value):
         """Refused as `--identity-layers a` is: exit 1 with `error: ...`. With
-        12 layers, every value int() would read names a layer in range."""
+        12 layers, every value int() would read names a layer in range; a
+        repeated or an empty item is refused, not dropped."""
         argv = with_value(SYNTH_ARGS, "--layers", "12") + ["--identity-layers", value]
         assert_refused(capsys, argv, tmp_path / "m.ascm")
 
@@ -697,7 +698,6 @@ class TestCompareAndForward:
 
         real_check = model_module.check_model
         monkeypatch.setattr(model_module, "check_model", counting)
-        monkeypatch.setattr(forward, "check_model", counting)
         out = tmp_path / "emb.csv"
         assert main(["forward", "--model", str(model), "--data", str(data),
                      "--out", str(out)]) == 0

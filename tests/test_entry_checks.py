@@ -1,12 +1,11 @@
 """Each argument is checked once where it enters the library. A model gets
 the one rule `validate_weights` applies (less its finiteness scan):
-`analyze`, `compare_models`, `apply_plan`, `forward_hidden_states` and
-`save_model` each refuse a malformed in-memory model with the message
-`validate_weights` gives, and `analyze` and `compare_models` do so before
-they fork. A NaN that only some sequences reach is refused where the result
-is made. Any other package object is refused by type
-(`errors.require_type`), then by its own `validate()`, and no public
-function lets a wrong type reach a raw error."""
+`analyze`, `compare_models`, `apply_plan` and `save_model` each refuse a
+malformed in-memory model with the message `validate_weights` gives, and
+`analyze` and `compare_models` do so before they fork. A NaN that only
+some sequences reach is refused where the result is made. Any other package
+object is refused by type (`errors.require_type`), then by its own
+`validate()`, and no public function lets a wrong type reach a raw error."""
 
 import inspect
 from dataclasses import asdict, replace
@@ -16,9 +15,9 @@ import pytest
 from conftest import make_model
 
 import asc
-from asc import (analyze, apply_plan, compare_models, forward_hidden_states, gen_dataset, plan,
-                 save_dataset, save_model, similarity, write_matrix_csv, write_plan)
-from asc.data import RowBlock, TokenDataset, row_blocks
+from asc import (analyze, apply_plan, compare_models, gen_dataset, plan, save_dataset, save_model,
+                 similarity, write_matrix_csv, write_plan)
+from asc.data import TokenDataset, row_blocks
 from asc.errors import AscError, ValidationError
 from asc.heatmap import write_pgm
 from asc.model import ModelConfig, ModelWeights, check_model, validate_weights
@@ -127,25 +126,6 @@ def test_apply_plan_refuses(malformed):
     assert str(err.value) == message
 
 
-def test_forward_hidden_states_refuses(malformed):
-    """The model is refused before the dataset is looked at, valid or not."""
-    _, _, bad_config, bad_weights, message = malformed
-    for data in [TokenDataset([[1, 2, 3]]), TokenDataset([[1, 99]]), object()]:
-        with pytest.raises(ValidationError) as err:
-            forward_hidden_states(bad_config, bad_weights, data)
-        assert str(err.value) == message
-
-
-def test_forward_hidden_states_refuses_a_row_block():
-    """A hand-built block would skip the id checks: id 99 on a vocab-20 model
-    once reached a raw IndexError inside the embedding lookup."""
-    config, weights = make_model(hidden_dim=D, ffn_dim=F)
-    for block in [RowBlock((([0], np.array([[99]])),)), RowBlock(None)]:
-        with pytest.raises(ValidationError,
-                           match=r"^dataset must be of type TokenDataset, got RowBlock$"):
-            forward_hidden_states(config, weights, block)
-
-
 def test_save_model_refuses(malformed, tmp_path):
     _, _, bad_config, bad_weights, message = malformed
     path = tmp_path / "model.ascm"
@@ -209,7 +189,6 @@ def test_entries_do_not_scan_weight_values(nan_model):
     assert (report.mean_cosine, report.max_abs_diff) == (1.0, 0.0)
     pruned_config, _ = apply_plan(config, bad, PrunePlan(0.9, (1,), ((0, 1),)))
     assert pruned_config.num_layers == 1
-    forward_hidden_states(config, bad, data)
 
 
 SEQUENCES = [[1, 2, 3], [4, 5]]
@@ -230,8 +209,6 @@ WRONG_TYPE = [
     ("write_pgm", SimilarityMatrix, np.eye(2), lambda v, path, model: write_pgm(v, path)),
     ("apply_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: apply_plan(*model, v)),
     ("write_plan", PrunePlan, PLAN_FIELDS, lambda v, path, model: write_plan(v, path)),
-    ("forward_hidden_states", TokenDataset, SEQUENCES,
-     lambda v, path, model: forward_hidden_states(*model, v)),
 ]
 
 

@@ -7,8 +7,7 @@ import dataclasses
 import numpy as np
 
 from asc import planner, similarity, surgery, synth, tensor_ops
-from asc.forward import forward_hidden_states
-from oracles import unclamped_softmax_rows
+from oracles import sequence_states, unclamped_softmax_rows
 
 
 def outputs(config, weights, dataset):
@@ -22,7 +21,8 @@ def outputs(config, weights, dataset):
         pruned = surgery.apply_plan(config, weights, the_plan)
         report = surgery.compare_models(config, weights, *pruned, dataset)
         got.append(np.array(dataclasses.astuple(report), dtype=np.float64).tobytes())
-    got += [states.tobytes() for states in forward_hidden_states(config, weights, dataset)]
+    got += [np.stack(sequence_states(config, weights, tokens)).tobytes()
+            for tokens in dataset.sequences]
     return got
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from asc import synth
 from asc.data import TokenDataset, row_blocks
-from asc.forward import embed, encoder_layer, forward_hidden_states, hidden_states
+from asc.forward import embed, encoder_layer, hidden_states
 from asc.model import ModelConfig, ModelWeights, tensor_shapes
 from conftest import make_model
 from oracles import final_hidden_state, forward_with_taps, one_block, sequence_states
@@ -210,8 +210,19 @@ class TestTaps:
 
 
 class TestForwardHiddenStates:
-    """The public call: each sequence of a dataset gets its own states, as one
-    (L+1, n, d) float32 array, in dataset order."""
+    """A dataset runs as its row blocks: `hidden_states` of each block, split
+    by `block.split`, gives every sequence its own states, in any block."""
+
+    @staticmethod
+    def per_sequence(config, weights, blocks):
+        """Each sequence's L+1 states, keyed by its dataset index."""
+        got = {}
+        for block in blocks:
+            parts = [dict(block.split(state)) for state in hidden_states(config, weights, block)]
+            for i in parts[0]:
+                assert i not in got
+                got[i] = [part[i] for part in parts]
+        return got
 
     @pytest.mark.parametrize("norm_mode", ["standard", "none"])
     def test_each_sequence_equals_its_own_states(self, norm_mode):
@@ -221,26 +232,27 @@ class TestForwardHiddenStates:
         sequences = [rng.integers(0, 30, int(rng.integers(2, 41))).tolist() for _ in range(60)]
         sequences[3:3] = [[29]]
         sequences.append([0])
-        dataset = TokenDataset(sequences)
-        blocks = row_blocks(dataset, config)
+        blocks = row_blocks(TokenDataset(sequences), config)
         assert len(blocks) > 3 and any(len(block.segments) > 1 for block in blocks)
-        got = forward_hidden_states(config, weights, dataset)
-        assert len(got) == len(sequences)
-        for tokens, states in zip(sequences, got):
-            assert states.dtype == np.float32 and states.shape == (3, len(tokens), 8)
-            want = np.stack(sequence_states(config, weights, tokens))
-            assert np.array_equal(states.view(np.uint32), want.view(np.uint32))
+        got = self.per_sequence(config, weights, blocks)
+        assert sorted(got) == list(range(len(sequences)))
+        for i, tokens in enumerate(sequences):
+            want = sequence_states(config, weights, tokens)
+            assert len(got[i]) == len(want) == 3
+            for state, single in zip(got[i], want):
+                assert state.dtype == np.float32 and state.shape == (len(tokens), 8)
+                assert np.array_equal(state.view(np.uint32), single.view(np.uint32))
 
     def test_zero_layer_model_gives_the_embedding(self):
         config, weights = make_model(num_layers=0)
         sequences = [[1, 2, 3], [4], [5, 6]]
-        got = forward_hidden_states(config, weights, TokenDataset(sequences))
-        assert [states.shape for states in got] == [(1, 3, 8), (1, 1, 8), (1, 2, 8)]
-        for tokens, states in zip(sequences, got):
-            npt.assert_array_equal(states[0], embed(config, weights, one_block(config, tokens)))
+        got = self.per_sequence(config, weights, row_blocks(TokenDataset(sequences), config))
+        assert [[state.shape for state in got[i]] for i in range(3)] == [[(3, 8)], [(1, 8)], [(2, 8)]]
+        for i, tokens in enumerate(sequences):
+            npt.assert_array_equal(got[i][0], embed(config, weights, one_block(config, tokens)))
 
     def test_empty_dataset_gives_no_states(self, tiny_model):
-        assert forward_hidden_states(*tiny_model, TokenDataset([])) == []
+        assert row_blocks(TokenDataset([]), tiny_model[0]) == []
 
 
 class TestBatches:

@@ -1,12 +1,20 @@
 """Every name a package module imports is used in that module, so a function
-that moves to another module takes its imports with it."""
+that moves to another module takes its imports with it; and every function
+the package exports has a caller outside it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "asc"
+import asc
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "asc"
+# the pipeline's own users of the public functions: the CLI, the scripts, the benchmark
+CALLERS = [PACKAGE / "cli.py", *sorted((REPO / "scripts").glob("*.py")),
+           *sorted((REPO / "perfbench").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:
@@ -41,3 +49,24 @@ def test_every_import_is_used(path):
 ])
 def test_unused_imports_found(source, unused):
     assert unused_imports(source) == unused
+
+
+def names_read(paths) -> set:
+    """Every `Name` and `Attribute` the modules at `paths` mention."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    """The package holds only what the pipeline uses: each function in
+    `asc.__all__` (classes and errors aside) is named by the CLI, a script
+    or the benchmark."""
+    functions = [name for name in asc.__all__ if inspect.isfunction(getattr(asc, name))]
+    assert functions
+    assert [name for name in functions if name not in names_read(CALLERS)] == []

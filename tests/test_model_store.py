@@ -34,7 +34,9 @@ def read_header(path):
 
 
 def rewrite_header(path, header, payload):
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    """Write a container of `header`, a dict or its JSON text, and `payload`."""
+    text = header if isinstance(header, str) else json.dumps(header, separators=(",", ":"))
+    header_bytes = text.encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<I", len(header_bytes)))

@@ -160,8 +160,8 @@ class TestArgumentsNotCoerced:
 
     @pytest.mark.parametrize("change", [
         {"seed": -1}, {"seed": 1.0}, {"seed": np.int64(1)},
-        {"identity_layers": [1.9]}, {"identity_layers": [True]}, {"num_heads": True},
-        {"num_layers": 2.0},
+        {"identity_layers": [1.9]}, {"identity_layers": [True]}, {"identity_layers": [1, 1]},
+        {"num_heads": True}, {"num_layers": 2.0},
     ], ids=repr)
     def test_gen_model(self, change):
         with pytest.raises(ValidationError):
