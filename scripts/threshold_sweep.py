@@ -10,6 +10,7 @@ Usage:
 """
 
 import argparse
+import sys
 
 from asc import (
     analyze,
@@ -20,29 +21,44 @@ from asc import (
     plan,
     plan_random,
 )
+from asc.cli import float_arg, int_arg, list_arg
+from asc.errors import AscError
 from asc.similarity import usable_cores
 
 
 def parse_args(argv=None):
+    """Ints and lists are read as `asc` reads its flags, so `--layers 1_0`
+    and `--identity +2` are refused."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--layers", type=int, default=8)
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--heads", type=int, default=4)
-    parser.add_argument("--ffn-dim", type=int, default=64)
-    parser.add_argument("--vocab", type=int, default=100)
+    parser.add_argument("--layers", type=int_arg, default=8)
+    parser.add_argument("--hidden-dim", type=int_arg, default=32)
+    parser.add_argument("--heads", type=int_arg, default=4)
+    parser.add_argument("--ffn-dim", type=int_arg, default=64)
+    parser.add_argument("--vocab", type=int_arg, default=100)
     parser.add_argument("--identity", default="3,4,6",
                         help="comma-separated encoder layers planted as exact passthroughs")
     parser.add_argument("--thresholds", default="0.8,0.85,0.9,0.99,0.999")
-    parser.add_argument("--sequences", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sequences", type=int_arg, default=50)
+    parser.add_argument("--seed", type=int_arg, default=0)
     return parser.parse_args(argv)
 
 
-def main(argv=None):
+def main(argv=None) -> int:
+    """Run the sweep; on a refused argument, print `error: ...` and return 1, as `asc` does."""
     args = parse_args(argv)
-    identity = [int(p) for p in args.identity.split(",") if p.strip()]
-    thresholds = [float(t) for t in args.thresholds.split(",")]
+    try:
+        sweep(args)
+    except AscError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def sweep(args):
+    """Analyze once, then print the matrix and one row per threshold."""
+    identity = list_arg("--identity", args.identity)
+    thresholds = list_arg("--thresholds", args.thresholds, float_arg)
 
     config, weights = gen_model(
         num_layers=args.layers, hidden_dim=args.hidden_dim, num_heads=args.heads,
@@ -78,4 +94,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

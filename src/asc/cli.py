@@ -22,7 +22,7 @@ from .forward import hidden_states
 _INT_RE = re.compile(r"-?[0-9]+", re.ASCII)
 
 
-def _int_arg(text: str) -> int:
+def int_arg(text: str) -> int:
     try:
         if _INT_RE.fullmatch(text):
             return int(text)
@@ -31,20 +31,26 @@ def _int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _float_arg(text: str) -> float:
+def float_arg(text: str) -> float:
     if not similarity.CSV_VALUE_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     return float(text)
 
 
-def _cmd_synth(args):
-    parts = args.identity_layers.split(",") if args.identity_layers else []
+def list_arg(name: str, text: str, item=int_arg) -> list:
+    """The comma-separated items of flag `name`'s `text`, each read by the
+    argument type `item` with the ASCII whitespace around it dropped. "" holds
+    no item; an empty item is refused, not dropped."""
+    parts = text.split(",") if text else []
     try:
-        identity = [_int_arg(part.strip(string.whitespace)) for part in parts]
+        return [item(part.strip(string.whitespace)) for part in parts]
     except argparse.ArgumentTypeError as exc:
         raise ValidationError(
-            f"--identity-layers must be comma-separated integers, got {args.identity_layers!r}"
-        ) from exc
+            f"{name} must be comma-separated values ({exc}), got {text!r}") from exc
+
+
+def _cmd_synth(args):
+    identity = list_arg("--identity-layers", args.identity_layers)
     config, weights = synth.gen_model(
         num_layers=args.layers,
         hidden_dim=args.hidden_dim,
@@ -152,14 +158,14 @@ def _cmd_forward(args):
     print(f"wrote embeddings: {args.out} (tokens={dataset.total_tokens}, dim={config.hidden_dim})")
 
 
-_INT = {"type": _int_arg, "required": True}
+_INT = {"type": int_arg, "required": True}
 _PATH = {"required": True}
 
 # name -> (handler, help, flags): the one definition of every command
 _COMMANDS = {
     "synth": (_cmd_synth, "generate a synthetic model with planted identity layers", {
         "--layers": _INT, "--hidden-dim": _INT, "--heads": _INT, "--ffn-dim": _INT,
-        "--vocab": _INT, "--max-seq-len": {"type": _int_arg, "default": 128},
+        "--vocab": _INT, "--max-seq-len": {"type": int_arg, "default": 128},
         "--identity-layers": {"default": "", "help": "comma-separated encoder indices (1-based)"},
         "--seed": _INT, "--out": _PATH}),
     "gen-data": (_cmd_gen_data, "generate a random token dataset", {
@@ -167,9 +173,9 @@ _COMMANDS = {
         "--seed": _INT, "--out": _PATH}),
     "analyze": (_cmd_analyze, "build the layer-similarity matrix over a dataset", {
         "--model": _PATH, "--data": _PATH, "--out": _PATH,
-        "--workers": {"type": _int_arg, "default": 1}}),
+        "--workers": {"type": int_arg, "default": 1}}),
     "plan": (_cmd_plan, "mark redundant layer blocks against a threshold", {
-        "--sim": _PATH, "--threshold": {"type": _float_arg, "required": True}, "--out": _PATH}),
+        "--sim": _PATH, "--threshold": {"type": float_arg, "required": True}, "--out": _PATH}),
     "prune": (_cmd_prune, "apply a plan, emitting a physically smaller model", {
         "--model": _PATH, "--plan": _PATH, "--out": _PATH}),
     "random-prune": (_cmd_random_prune, "remove a random subset of layers (baseline)", {

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import FormatError, ValidationError, is_int, require_type, shown
 from .fileio import atomic_write, read_text
-from .model import ModelConfig
 
 # Token rows per forward batch: bounds the memory that one batch's
 # activations take, however large the dataset.
@@ -83,8 +82,8 @@ def row_blocks(dataset, config, *more_configs, workers=1) -> list:
     into `RowBlock`s.
 
     The ids are checked before any array is built: the `TokenDataset`'s
-    `validate()`, each config's type (`ModelConfig`) and `validate()`, then
-    each length group's length and largest id against every config. A batch
+    `validate()`, then each length group's length and largest id against
+    every config, which its caller has checked (`check_model`). A batch
     holds at most MAX_BATCH_ROWS tokens and at most ceil(tokens /
     `workers`), unless it is one sequence. Batches join a block while it
     holds no more token rows than the largest batch, so no block needs more
@@ -96,8 +95,6 @@ def row_blocks(dataset, config, *more_configs, workers=1) -> list:
     """
     require_type("dataset", dataset, TokenDataset).validate()
     configs = (config, *more_configs)
-    for cfg in configs:
-        require_type("config", cfg, ModelConfig).validate()
     sequences = dataset.sequences
     by_length = {}
     for i, seq in enumerate(sequences):

@@ -159,7 +159,7 @@ def validate_weights(config: ModelConfig, weights: ModelWeights):
     """`check_model`, then a scan that every tensor value is finite."""
     check_model(config, weights)
     for name, tensor in weights.tensors.items():
-        if not np.all(np.isfinite(tensor)):
+        if not np.isfinite(tensor).all():
             raise ValidationError(f"weights: tensor {name!r} contains non-finite values")
 
 

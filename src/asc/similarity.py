@@ -57,14 +57,14 @@ class SimilarityMatrix:
             raise ValidationError(f"similarity matrix must be a square array, got shape {v.shape}")
         if v.shape[0] < 2:
             raise ValidationError(f"similarity matrix must be at least 2x2, got {v.shape[0]}")
-        require_int("token_count", self.token_count, 0)
+        require_int("token_count", self.token_count, 1)
         if not np.all(np.isfinite(v)):
             raise ValidationError("similarity matrix contains non-finite entries")
         if np.any(v < -1.0) or np.any(v > 1.0):
             raise ValidationError("similarity matrix entries must lie in [-1, 1]")
         if not np.array_equal(v, v.T):
             raise ValidationError("similarity matrix is not symmetric")
-        if self.token_count > 0 and not np.all(np.diag(v) == 1.0):
+        if not np.all(np.diag(v) == 1.0):
             raise ValidationError("similarity matrix diagonal must be exactly 1.0")
 
 
@@ -73,16 +73,13 @@ class SimilarityAccumulator:
     matrix of their total; `analyze` checks the model and dataset it is
     built for, so it re-checks neither."""
 
-    def __init__(self, size: int):
-        self.size = size
-
     def add_states(self, states, block) -> list:
         """(dataset index, (L+1)x(L+1) cosine sums over that sequence's tokens)
         for each sequence of a row block, given the block's hidden states (a
         list of (rows, d) arrays, one per layer)."""
         # one layer at a time into one float64 block, so a batch holds no
         # float32 or float64 copy of its whole state stack beside it
-        unit = np.empty((self.size, *states[0].shape))
+        unit = np.empty((len(states), *states[0].shape))
         for k, state in enumerate(states):
             unit[k] = unit_rows(state)
         grams = np.einsum("ind,jnd->nij", unit, unit)
@@ -96,7 +93,6 @@ class SimilarityAccumulator:
         upper = np.triu(mean, k=1)
         values = upper + upper.T
         np.fill_diagonal(values, 1.0)
-        np.clip(values, -1.0, 1.0, out=values)
         matrix = SimilarityMatrix(values=values, token_count=token_count)
         matrix.validate()  # a NaN or inf state leaves non-finite sums
         return matrix
@@ -114,7 +110,7 @@ def analyze(config, weights, dataset, workers: int = 1) -> SimilarityMatrix:
     check_model(config, weights)
     if config.num_layers == 0:
         raise ValidationError("cannot analyze a model with no encoder layers")
-    acc = SimilarityAccumulator(config.num_layers + 1)
+    acc = SimilarityAccumulator()
     sums = _map_sequences(
         lambda block: acc.add_states(hidden_states(config, weights, block), block),
         dataset, (config,), workers)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +18,8 @@ from asc.model import MAGIC, load_model
 from asc.planner import load_plan
 from asc.similarity import load_matrix_csv, write_matrix_csv, SimilarityMatrix
 from oracles import final_hidden_state
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_matrix(path, values, tokens=10):
@@ -297,6 +300,16 @@ def assert_refused(capsys, argv, out):
     assert not out.exists()
 
 
+def assert_refused_with(capsys, tmp_path, argv, message):
+    """`argv` with an --out in `tmp_path` exits 1 with `error: message` alone,
+    and leaves `tmp_path` as it was."""
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in any text input ends as `error: ...`."""
 
@@ -392,6 +405,35 @@ class TestBadModelFile:
             capsys, ["compare", "--model-a", str(models["a"]), "--model-b", str(models["b"]),
                      "--data", str(data)],
             bad, f"{bad}: weights: tensor 'layer.3.ln2.b' contains non-finite values")
+
+
+class TestRuleBreakingFiles:
+    """A file that parses but breaks a rule of what it holds ends as exit 1
+    and one `error: <path>: ...` line naming the rule, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [["plan", "--threshold", "0.9", "--sim"], ["render", "--sim"]],
+                             ids=["plan", "render"])
+    def test_zero_token_matrix(self, tmp_path, capsys, argv):
+        """No writer makes a `tokens=0` matrix, and its means are over no data:
+        `plan` on one with a zero diagonal once pruned layers 1 and 2."""
+        sim = tmp_path / "sim.csv"
+        sim.write_text("# asc-sim v1 layers=3 tokens=0\n" + "0.0,0.0,0.0\n" * 3)
+        assert_refused_with(capsys, tmp_path, argv + [str(sim)],
+                            f"{sim}: token_count must be an int >= 1, got 0")
+
+    def test_one_by_one_matrix(self, tmp_path, capsys):
+        sim = tmp_path / "sim.csv"
+        sim.write_text("# asc-sim v1 layers=1 tokens=5\n1.0\n")
+        assert_refused_with(capsys, tmp_path, ["plan", "--threshold", "0.9", "--sim", str(sim)],
+                            f"{sim}: similarity matrix must be at least 2x2, got 1")
+
+    def test_plan_not_an_object(self, pipeline_files, capsys):
+        tmp_path, model, _ = pipeline_files
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text("[1]")
+        assert_refused_with(capsys, tmp_path,
+                            ["prune", "--model", str(model), "--plan", str(plan_path)],
+                            f"{plan_path}: plan is not a JSON object")
 
 
 SYNTH_ARGS = ["synth", "--layers", "2", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16",
@@ -734,13 +776,21 @@ class TestEndToEnd:
         assert json.loads(plan_path.read_text())["redundant_layers"] == [2, 3]
 
     def test_console_script_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "asc", "gen-data", "--sequences", "2",
-             "--min-len", "2", "--max-len", "4", "--vocab", "5", "--seed", "0",
-             "--out", str(tmp_path / "d.txt")],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0
+        """`python -m asc` exits with the code `main` returns: 0, 1 on a
+        refused input, 2 on a usage error."""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "asc", *argv], capture_output=True,
+                                  text=True, env=env, cwd=tmp_path, timeout=60)
+
+        assert run().returncode == 2
+        missing = run("plan", "--sim", "absent.csv", "--threshold", "0.9", "--out", "plan.json")
+        assert missing.returncode == 1 and missing.stderr.startswith("error: ")
+        assert not (tmp_path / "plan.json").exists()
+        made = run("gen-data", "--sequences", "2", "--min-len", "2", "--max-len", "4",
+                   "--vocab", "5", "--seed", "0", "--out", "d.txt")
+        assert made.returncode == 0
         assert (tmp_path / "d.txt").exists()
 
 

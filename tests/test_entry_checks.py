@@ -20,7 +20,7 @@ from asc import (analyze, apply_plan, compare_models, gen_dataset, plan, save_da
 from asc.data import TokenDataset, row_blocks
 from asc.errors import AscError, ValidationError
 from asc.heatmap import write_pgm
-from asc.model import ModelConfig, ModelWeights, check_model, validate_weights
+from asc.model import ModelWeights, check_model, validate_weights
 from asc.planner import PrunePlan
 from asc.similarity import SimilarityMatrix
 
@@ -193,15 +193,10 @@ def test_entries_do_not_scan_weight_values(nan_model):
 
 SEQUENCES = [[1, 2, 3], [4, 5]]
 PLAN_FIELDS = asdict(PrunePlan(0.9, (1,), ((0, 1),)))
-CONFIG_FIELDS = make_model(hidden_dim=D, ffn_dim=F)[0].to_dict()
 
 # (entry, the type it expects, raw data of that type, call(value, path, (config, weights)))
 WRONG_TYPE = [
     ("row_blocks", TokenDataset, SEQUENCES, lambda v, path, model: row_blocks(v, model[0])),
-    ("row_blocks config", ModelConfig, CONFIG_FIELDS,
-     lambda v, path, model: row_blocks(TokenDataset(SEQUENCES), v)),
-    ("row_blocks more_configs", ModelConfig, CONFIG_FIELDS,
-     lambda v, path, model: row_blocks(TokenDataset(SEQUENCES), model[0], v)),
     ("save_dataset", TokenDataset, SEQUENCES, lambda v, path, model: save_dataset(v, path)),
     ("plan", SimilarityMatrix, np.eye(2), lambda v, path, model: plan(v, 0.9)),
     ("write_matrix_csv", SimilarityMatrix, np.eye(2),
@@ -223,14 +218,6 @@ def test_wrong_type_refused_by_name(entry, form, tmp_path):
                        match=rf" must be of type {cls.__name__}, got {type(value).__name__}$"):
         call(value, tmp_path / "out", make_model(hidden_dim=D, ffn_dim=F))
     assert list(tmp_path.iterdir()) == []
-
-
-def test_row_blocks_refuses_what_config_validate_refuses():
-    """A `ModelConfig` whose max_seq_len is None would reach a raw `>` comparison."""
-    config, _ = make_model(hidden_dim=D, ffn_dim=F)
-    for bad in [replace(config, max_seq_len=None), replace(config, vocab_size=0)]:
-        with pytest.raises(ValidationError, match=r"^config: (max_seq_len|vocab_size) must be"):
-            row_blocks(TokenDataset(SEQUENCES), config, bad)
 
 
 def test_apply_plan_refuses_what_plan_validate_refuses():

@@ -358,7 +358,8 @@ class TestLoadErrors:
 
 
 class TestStrictHeader:
-    """Header values of the wrong JSON type are refused, never coerced."""
+    """Header values of the wrong JSON type, or out of their range, are
+    refused, never coerced."""
 
     @pytest.mark.parametrize("keys, value", [
         (("version",), True),
@@ -373,6 +374,7 @@ class TestStrictHeader:
         (("config", "layer_ids"), [1.0]),
         (("config", "layer_ids"), [True]),
         (("config", "layer_ids"), "1"),
+        (("config", "layer_ids"), [0]),
         (("tensors", "layer.0.attn.q.w", "shape"), 5),
         (("tensors", "layer.0.attn.q.w", "shape"), [4.0, 4]),
         (("tensors", "embed.token", "offset"), False),

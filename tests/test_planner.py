@@ -292,7 +292,8 @@ RANDOM_PLAN = {"version": 1, "threshold": 0.0, "redundant_layers": [2, 3], "anch
 
 
 class TestStrictPlanFields:
-    """Plan values of the wrong JSON type are refused, never coerced."""
+    """Plan values of the wrong JSON type, or that break a plan rule, are
+    refused, never coerced."""
 
     @pytest.mark.parametrize("base, field, value", [
         (ASC_PLAN, "version", True),
@@ -301,9 +302,11 @@ class TestStrictPlanFields:
         (ASC_PLAN, "threshold", 10 ** 400),
         (ASC_PLAN, "redundant_layers", [2.9, 3]),
         (ASC_PLAN, "redundant_layers", [2, 3.0]),
+        (ASC_PLAN, "redundant_layers", [3, 2]),
         (ASC_PLAN, "anchors", [[1.5, 3]]),
         (ASC_PLAN, "anchors", [[True, 3]]),
         (ASC_PLAN, "anchors", [[1, 3, 9]]),
+        (ASC_PLAN, "anchors", [[2, 2]]),
         (ASC_PLAN, "matrix_fingerprint", 12345),
         (RANDOM_PLAN, "seed", "5"),
         (RANDOM_PLAN, "seed", 1.5),

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from asc import similarity
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -40,3 +42,39 @@ def test_threshold_sweep_output_same_at_every_core_count(capsys, monkeypatch):
                     "--thresholds", "0.5,0.999"])
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+SMALL = ["--layers", "3", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16", "--vocab", "20",
+         "--sequences", "2"]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--identity", "2,,3"],
+     "--identity must be comma-separated values (invalid int value: ''), got '2,,3'"),
+    (["--identity", "+2"],
+     "--identity must be comma-separated values (invalid int value: '+2'), got '+2'"),
+    (["--identity", "1_0"],
+     "--identity must be comma-separated values (invalid int value: '1_0'), got '1_0'"),
+    (["--identity", "2,2"], "identity layer 2 given twice"),
+    (["--identity", "2", "--thresholds", "nan"],
+     "--thresholds must be comma-separated values (invalid float value: 'nan'), got 'nan'"),
+    (["--identity", "2", "--thresholds", "1.5"], "plan: threshold must be in (0, 1], got 1.5"),
+], ids=["identity-empty-item", "identity-plus-sign", "identity-underscore", "identity-repeated",
+        "thresholds-nan", "thresholds-out-of-range"])
+def test_threshold_sweep_refuses_as_asc_does(capsys, args, error):
+    """A value `asc synth --identity-layers` or `asc plan --threshold`
+    refuses ends the sweep with exit 1 and one `error:` line, not a
+    traceback: an empty item is not dropped, and int() or float() would take
+    `+2`, `1_0` or `nan`."""
+    code = load_script("threshold_sweep").main(SMALL + args)
+    assert (code, capsys.readouterr().err) == (1, f"error: {error}\n")
+
+
+@pytest.mark.parametrize("flag", ["--layers", "--sequences", "--seed"])
+def test_threshold_sweep_ints_read_as_asc_reads_them(capsys, flag):
+    """`--layers 1_0` once built a 10-layer model: an int flag is refused by
+    the argument parser, as `asc`'s are."""
+    with pytest.raises(SystemExit) as exc:
+        load_script("threshold_sweep").main(SMALL + [flag, "1_0"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: '1_0'" in capsys.readouterr().err

@@ -81,7 +81,7 @@ def assert_no_children():
 
 class TestAccumulator:
     def test_equal_outputs_contribute_one_per_pair(self):
-        acc = SimilarityAccumulator(3)
+        acc = SimilarityAccumulator()
         v = np.array([1.0, 2.0, -1.0], dtype=np.float32)
         sums = frame_sums(acc, LayerTapFrame(0, [v, v, v]))
         npt.assert_allclose(sums, np.ones((3, 3)), atol=1e-12)
@@ -92,7 +92,7 @@ class TestAccumulator:
     def test_hand_computed_contributions(self):
         # e0=[1,0], e1=[0,1], e2=[1,0]: orthogonal pairs contribute 0,
         # the parallel pair contributes 1.
-        acc = SimilarityAccumulator(3)
+        acc = SimilarityAccumulator()
         e0 = np.array([1.0, 0.0], dtype=np.float32)
         e1 = np.array([0.0, 1.0], dtype=np.float32)
         e2 = np.array([1.0, 0.0], dtype=np.float32)
@@ -104,7 +104,7 @@ class TestAccumulator:
             assert abs(sums[k, k] - 1.0) < 1e-12
 
     def test_dead_vector_contributes_zero(self):
-        acc = SimilarityAccumulator(2)
+        acc = SimilarityAccumulator()
         zero = np.zeros(3, dtype=np.float32)
         live = np.ones(3, dtype=np.float32)
         sums = frame_sums(acc, LayerTapFrame(0, [zero, live]))
@@ -118,7 +118,7 @@ class TestAccumulator:
         give one matrix."""
         config, weights = tiny_model
         dataset = TokenDataset([[1, 2, 3], [4, 5, 6], [7, 8], [9], [10, 11, 12, 13], [3, 2, 1]])
-        acc = SimilarityAccumulator(config.num_layers + 1)
+        acc = SimilarityAccumulator()
         together = {}
         for block in row_blocks(dataset, config):
             together.update(acc.add_states(hidden_states(config, weights, block), block))
@@ -133,13 +133,6 @@ class TestAccumulator:
         npt.assert_array_equal(in_order.values.view(np.uint64),
                                acc.finalize([alone[i] for i in range(len(dataset))], tokens)
                                .values.view(np.uint64))
-
-    def test_frame_size_mismatch_rejected(self, tiny_model):
-        config, weights = tiny_model
-        acc = SimilarityAccumulator(config.num_layers + 2)
-        frame = next(iter(forward_with_taps(config, weights, [1])))
-        with pytest.raises(ValidationError, match="layer outputs"):
-            frame_sums(acc, frame)
 
 
 class TestAnalyze:
@@ -280,7 +273,7 @@ class TestAnalyze:
     def test_scaled_frames_leave_matrix_unchanged(self, tiny_model):
         # cosine scale invariance, applied directly to recorded states
         config, weights = tiny_model
-        acc = SimilarityAccumulator(config.num_layers + 1)
+        acc = SimilarityAccumulator()
         scaled_layer = 1
         plain, scaled = [], []
         for seq in [[1, 2, 3], [4, 5]]:
@@ -559,14 +552,14 @@ class TestMatrixValidation:
         with pytest.raises(ValidationError, match="-1, 1"):
             SimilarityMatrix(values=values, token_count=1).validate()
 
-    @pytest.mark.parametrize("token_count", [2.5, True, np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("token_count", [0, 2.5, True, np.int64(3)], ids=repr)
     def test_token_count_must_be_an_int(self, token_count):
         with pytest.raises(ValidationError, match="token_count"):
             SimilarityMatrix(values=np.eye(2), token_count=token_count).validate()
 
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError, match="square"):
-            SimilarityMatrix(values=np.zeros((2, 3)), token_count=0).validate()
+            SimilarityMatrix(values=np.zeros((2, 3)), token_count=1).validate()
 
     @pytest.mark.parametrize("values, got", [
         (np.array([["1", "0"], ["0", "1"]]), "<U1"),
