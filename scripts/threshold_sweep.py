@@ -22,7 +22,7 @@ from asc import (
     plan_random,
 )
 from asc.cli import float_arg, int_arg, list_arg
-from asc.errors import AscError
+from asc.errors import AscError, ValidationError
 from asc.similarity import usable_cores
 
 
@@ -59,6 +59,9 @@ def sweep(args):
     """Analyze once, then print the matrix and one row per threshold."""
     identity = list_arg("--identity", args.identity)
     thresholds = list_arg("--thresholds", args.thresholds, float_arg)
+    if not thresholds:  # `asc plan` needs a threshold too
+        raise ValidationError(
+            f"--thresholds must hold at least one threshold, got {args.thresholds!r}")
 
     config, weights = gen_model(
         num_layers=args.layers, hidden_dim=args.hidden_dim, num_heads=args.heads,
@@ -67,7 +70,8 @@ def sweep(args):
     )
     train = gen_dataset(args.sequences, 8, 32, args.vocab, seed=args.seed + 1)
     heldout = gen_dataset(args.sequences, 8, 32, args.vocab, seed=args.seed + 2)
-    matrix = analyze(config, weights, train, workers=4)
+    workers = usable_cores()  # the matrix and the reports are the same at every worker count
+    matrix = analyze(config, weights, train, workers=workers)
     print(f"{args.layers}-layer model, identity layers {identity or 'none'}, "
           f"similarity matrix over {matrix.token_count} analysis tokens:")
     for row in matrix.values:
@@ -75,8 +79,6 @@ def sweep(args):
     print()
     print(f"{'threshold':>10} {'pruned':>7} {'layers':<16} {'anchors':<16} {'mean cos':>9} "
           f"{'rand mean cos':>14}")
-
-    workers = usable_cores()  # the reports are the same at every worker count
     for threshold in thresholds:
         result = plan(matrix, threshold)
         pruned_config, pruned_weights = apply_plan(config, weights, result)

@@ -1,7 +1,7 @@
 """All-pairs layer-similarity matrix, accumulated over one forward pass.
 
-Entry (i, j) is the average over all dataset tokens of the cosine
-similarity between layer i's and layer j's output vector for that token.
+Entry (i, j) is the average over all dataset tokens of the cosine between
+layer i's and layer j's output vector for that token (`cosine_grams`).
 Each sequence's sums are kept in float64, added in dataset order and divided
 once at finalize; the result is mirrored from the upper triangle and the
 diagonal forced to exactly 1.0.
@@ -27,7 +27,7 @@ from .errors import FormatError, ValidationError, require_int, require_type
 from .fileio import _decode_text, atomic_write
 from .forward import hidden_states
 from .model import check_model
-from .tensor_ops import unit_rows
+from .tensor_ops import cosine_grams
 
 CSV_HEADER_RE = re.compile(r"^# asc-sim v1 layers=(\d+) tokens=(\d+)$", re.ASCII)
 # ASCII decimals as `repr(float)` writes them; float() alone would also read
@@ -77,14 +77,7 @@ class SimilarityAccumulator:
         """(dataset index, (L+1)x(L+1) cosine sums over that sequence's tokens)
         for each sequence of a row block, given the block's hidden states (a
         list of (rows, d) arrays, one per layer)."""
-        # one layer at a time into one float64 block, so a batch holds no
-        # float32 or float64 copy of its whole state stack beside it
-        unit = np.empty((len(states), *states[0].shape))
-        for k, state in enumerate(states):
-            unit[k] = unit_rows(state)
-        grams = np.einsum("ind,jnd->nij", unit, unit)
-        np.clip(grams, -1.0, 1.0, out=grams)
-        return [(i, seq_grams.sum(axis=0)) for i, seq_grams in block.split(grams)]
+        return [(i, seq_grams.sum(axis=0)) for i, seq_grams in block.split(cosine_grams(states))]
 
     def finalize(self, sums, token_count: int) -> SimilarityMatrix:
         """The matrix of per-sequence `sums`, added in the order given, over

@@ -15,7 +15,7 @@ from .errors import ValidationError, require_int, require_type
 from .forward import embed, encoder_layer, hidden_states
 from .model import ModelWeights, check_model, layer_shapes
 from .planner import PrunePlan
-from .tensor_ops import unit_rows
+from .tensor_ops import cosine_grams
 
 
 def apply_plan(config, weights, plan):
@@ -88,9 +88,10 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset,
     A's layers (same id, same tensor bits) and B's input to it has the bits
     of that layer's input in A, B takes A's output instead of running the
     layer: the same tensors on the same bits give the same bits. A NaN or
-    inf final state is refused, not reported. Cosines are summed per
-    sequence, then in dataset order, so the report is the same bit for bit
-    at every worker count.
+    inf final state is refused, not reported. Cosines are `analyze`'s
+    (`cosine_grams`: a token whose states share their bits scores exactly 1),
+    summed per sequence, then in dataset order, so the report is the same
+    bit for bit at every worker count.
     """
     workers = require_int("workers", workers, 1)
     check_model(config_a, weights_a)
@@ -111,18 +112,11 @@ def compare_models(config_a, weights_a, config_b, weights_b, dataset,
                 state = states_a[k + 1]
             else:
                 state = encoder_layer(config_b, weights_b, s, state, block.segments)
-        out_a = states_a[-1].astype(np.float64)
-        out_b = state.astype(np.float64)
-        if not (np.isfinite(out_a).all() and np.isfinite(out_b).all()):
+        out_a = states_a[-1]
+        if not (np.isfinite(out_a).all() and np.isfinite(state).all()):
             raise ValidationError("the models' final-layer states hold non-finite values")
-        unit_a = unit_rows(out_a)
-        cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
-        # bit-identical live rows (non-zero unit vectors) score exactly 1,
-        # so comparing a model with itself reads mean 1.0 / max diff 0
-        # instead of 1 - ulp
-        cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
-        np.clip(cos, -1.0, 1.0, out=cos)
-        diff = np.abs(out_a - out_b).max(axis=1)
+        cos = cosine_grams((out_a, state))[:, 0, 1]
+        diff = np.abs(out_a.astype(np.float64) - state).max(axis=1)
         return [(i, (seq_cos.sum(), seq_cos.min(), seq_diff.max()))
                 for (i, seq_cos), (_, seq_diff) in zip(block.split(cos), block.split(diff))]
 

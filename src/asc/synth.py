@@ -6,7 +6,7 @@ exact residual passthrough: its output equals its input bit for bit.
 Every other layer is drawn at a weight scale that demonstrably changes
 the representation: the generator runs a probe batch through the layer
 and retries with a doubled scale until the mean input/output token
-cosine falls below SEPARATION_CAP.
+cosine, as the similarity matrix computes it, falls below SEPARATION_CAP.
 """
 
 import math
@@ -19,10 +19,10 @@ from .data import RowBlock, TokenDataset
 from .errors import ValidationError, require_int, require_type
 from .forward import embed, encoder_layer
 from .model import ModelConfig, ModelWeights, layer_shapes, tensor_shapes
-from .tensor_ops import unit_rows
+from .tensor_ops import cosine_grams
 
-# Upper bound the generator enforces on the mean cosine between a
-# non-identity layer's input and output on its probe batch.
+# Upper bound the generator enforces on the mean matrix cosine (`cosine_grams`)
+# between a non-identity layer's input and output on its probe batch.
 SEPARATION_CAP = 0.8
 _MAX_SCALE_RETRIES = 10
 _PROBE_SEQUENCES = 4
@@ -35,12 +35,6 @@ MAX_DRAW = np.iinfo(np.int64).max // 8
 def _require_drawable(what: str, count: int):
     if count > MAX_DRAW:
         raise ValidationError(f"{what} is {count}, beyond the {MAX_DRAW} values numpy can draw")
-
-
-def _mean_token_cosine(before: np.ndarray, after: np.ndarray) -> float:
-    """Mean cosine between matching rows of two (rows, d) states."""
-    cos = np.einsum("...d,...d->...", unit_rows(before), unit_rows(after))
-    return float(np.clip(cos, -1.0, 1.0).mean())
 
 
 def _layer_tensors(rng, suffixes: dict, slot: int, scale: float = None) -> dict:
@@ -127,7 +121,7 @@ def gen_model(num_layers: int, hidden_dim: int, num_heads: int, ffn_dim: int,
         for _ in range(_MAX_SCALE_RETRIES):
             tensors.update(_layer_tensors(rng, suffixes, slot, scale))
             out = encoder_layer(config, weights, slot, probe, segments)
-            if _mean_token_cosine(probe, out) < SEPARATION_CAP:
+            if cosine_grams((probe, out))[:, 0, 1].mean() < SEPARATION_CAP:
                 probe = out
                 accepted = True
                 break

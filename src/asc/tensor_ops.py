@@ -1,5 +1,5 @@
-"""Dense float32 kernels for the encoder forward pass and similarity probe,
-and nothing else: no I/O, threads or process state.
+"""Dense float32 kernels for the encoder forward pass and the pipeline's one
+cosine, and nothing else: no I/O, threads or process state.
 
 Storage is float32 throughout; every reduction (matmul accumulators, dot
 products, norms, row statistics) runs in float64 so that averages over
@@ -70,16 +70,23 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return inner.astype(np.float32)
 
 
-def unit_rows(x: np.ndarray) -> np.ndarray:
-    """Float64 copy of `x` with each last-axis vector scaled to unit norm.
+def cosine_grams(states) -> np.ndarray:
+    """(rows, k, k) cosines x.y / sqrt((x.x)(y.y)) between each pair of the k
+    (rows, d) float32 `states`, row by row, in float64 and clamped into [-1, 1].
 
-    Vectors with norm below NORM_EPS become all-zero, so a dead vector
-    scores cosine 0 against everything instead of dividing by ~0.
+    Two live rows with the same bits score exactly 1: float32 products are
+    exact in float64, so their dots are one value g, and sqrt(g * g) == g.
+    A dead row (x.x < NORM_EPS**2) scores 0 against everything.
     """
-    x64 = np.asarray(x, dtype=np.float64)
-    norms = np.sqrt(np.einsum("...d,...d->...", x64, x64))
-    dead = norms < NORM_EPS
-    norms[dead] = 1.0
-    unit = x64 / norms[..., None]
-    unit[dead] = 0.0
-    return unit
+    # one state at a time into one float64 block, so a batch holds no
+    # float32 or float64 copy of its whole state stack beside it
+    block = np.empty((len(states), *states[0].shape))
+    for i, state in enumerate(states):
+        block[i] = state
+    grams = np.einsum("ind,jnd->nij", block, block)
+    del block  # so the division's (rows, k, k) temporaries need no room beside it
+    self_dots = np.diagonal(grams, axis1=1, axis2=2).copy()
+    self_dots[self_dots < NORM_EPS**2] = np.inf  # its cosines divide to 0
+    # one correctly rounded sqrt of one product: sqrt(a) * sqrt(b) loses the exact 1
+    grams /= np.sqrt(self_dots[:, :, None] * self_dots[:, None, :])
+    return np.clip(grams, -1.0, 1.0, out=grams)

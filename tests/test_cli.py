@@ -195,6 +195,32 @@ class TestPlan:
         assert loaded.anchors == ((0, 1), (2, 3))
         assert loaded.matrix_fingerprint is not None
 
+    def test_threshold_one_prunes_a_passthrough_on_eight_tokens(self, tmp_path, capsys):
+        """A planted passthrough scores exactly 1 against its input on any
+        dataset, so `plan --threshold 1.0` prunes the layer that `compare`
+        shows changes nothing. A cosine that is 1 - ulp on equal rows reads
+        0.9999999999999999 on this 8-token matrix and prunes nothing."""
+        model, data = tmp_path / "m.ascm", tmp_path / "d.txt"
+        sim, plan, pruned = tmp_path / "s.csv", tmp_path / "p.json", tmp_path / "pruned.ascm"
+        assert main(["synth", "--layers", "4", "--hidden-dim", "32", "--heads", "4",
+                     "--ffn-dim", "64", "--vocab", "100", "--identity-layers", "2",
+                     "--seed", "8", "--out", str(model)]) == 0
+        assert main(["gen-data", "--sequences", "1", "--min-len", "8", "--max-len", "8",
+                     "--vocab", "100", "--seed", "3", "--out", str(data)]) == 0
+        assert main(["analyze", "--model", str(model), "--data", str(data),
+                     "--out", str(sim)]) == 0
+        assert load_matrix_csv(sim).values[1, 2] == 1.0
+        capsys.readouterr()
+        assert main(["plan", "--sim", str(sim), "--threshold", "1.0", "--out", str(plan)]) == 0
+        assert capsys.readouterr().out == "1 layers pruned: 2 (anchors: 1-2)\n"
+        assert main(["prune", "--model", str(model), "--plan", str(plan),
+                     "--out", str(pruned)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--model-a", str(model), "--model-b", str(pruned),
+                     "--data", str(data)]) == 0
+        stdout = capsys.readouterr().out
+        assert "mean_cosine: 1.0\n" in stdout and "max_abs_diff: 0.0\n" in stdout
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this platform")
     def test_fingerprint_of_a_pipe(self, tmp_path):
         """A matrix given as a pipe is parsed and fingerprinted from one reading."""

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, so a function
-that moves to another module takes its imports with it; and every function
-the package exports has a caller outside it."""
+that moves to another module takes its imports with it; every function the
+package exports has a caller outside it; and every public function of a
+package module is named by the package, a script or the benchmark."""
 
 import ast
 import inspect
@@ -15,6 +16,8 @@ PACKAGE = REPO / "src" / "asc"
 # the pipeline's own users of the public functions: the CLI, the scripts, the benchmark
 CALLERS = [PACKAGE / "cli.py", *sorted((REPO / "scripts").glob("*.py")),
            *sorted((REPO / "perfbench").glob("*.py"))]
+# every module that may name a package function: the package itself and the callers above
+USERS = sorted({*PACKAGE.glob("*.py"), *CALLERS})
 
 
 def unused_imports(source: str) -> list:
@@ -70,3 +73,23 @@ def test_every_public_function_has_a_caller():
     functions = [name for name in asc.__all__ if inspect.isfunction(getattr(asc, name))]
     assert functions
     assert [name for name in functions if name not in names_read(CALLERS)] == []
+
+
+# what the package, the scripts and the benchmark name, read once for every function below
+NAMED = names_read(USERS)
+
+
+def module_functions() -> list:
+    """`module.function` for each public function defined at the top level of
+    a package module."""
+    return [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("function", module_functions())
+def test_every_module_function_is_named(function):
+    """Below the export list too, the package holds only what the pipeline
+    uses: a public function that nothing in the package, the scripts or the
+    benchmark names is dead code (a `def` is not a mention)."""
+    assert function.split(".")[1] in NAMED

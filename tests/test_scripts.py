@@ -59,13 +59,15 @@ SMALL = ["--layers", "3", "--hidden-dim", "8", "--heads", "2", "--ffn-dim", "16"
     (["--identity", "2", "--thresholds", "nan"],
      "--thresholds must be comma-separated values (invalid float value: 'nan'), got 'nan'"),
     (["--identity", "2", "--thresholds", "1.5"], "plan: threshold must be in (0, 1], got 1.5"),
+    (["--identity", "2", "--thresholds", ""], "--thresholds must hold at least one threshold, got ''"),
 ], ids=["identity-empty-item", "identity-plus-sign", "identity-underscore", "identity-repeated",
-        "thresholds-nan", "thresholds-out-of-range"])
+        "thresholds-nan", "thresholds-out-of-range", "thresholds-empty"])
 def test_threshold_sweep_refuses_as_asc_does(capsys, args, error):
     """A value `asc synth --identity-layers` or `asc plan --threshold`
     refuses ends the sweep with exit 1 and one `error:` line, not a
-    traceback: an empty item is not dropped, and int() or float() would take
-    `+2`, `1_0` or `nan`."""
+    traceback: an empty item is not dropped, int() or float() would take
+    `+2`, `1_0` or `nan`, and no threshold at all once printed a matrix and
+    an empty table."""
     code = load_script("threshold_sweep").main(SMALL + args)
     assert (code, capsys.readouterr().err) == (1, f"error: {error}\n")
 

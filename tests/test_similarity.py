@@ -145,6 +145,21 @@ class TestAnalyze:
         npt.assert_array_equal(matrix.values, np.ones((4, 4)))
         assert matrix.token_count == dataset.total_tokens
 
+    def test_passthrough_scores_exactly_one_on_one_token(self):
+        """A planted passthrough's output has its input's bits, so their
+        cosine is exactly 1 on a dataset of any size: with one token there is
+        no average to round it back up to 1."""
+        misses = []
+        for seed in range(12):
+            config, weights = synth.gen_model(num_layers=4, hidden_dim=32, num_heads=4,
+                                              ffn_dim=64, vocab_size=100, identity_layers=[2],
+                                              seed=seed, max_seq_len=16)
+            for token in range(0, 100, 10):
+                value = analyze(config, weights, TokenDataset([[token]])).values[1, 2]
+                if value != 1.0:
+                    misses.append((seed, token, value))
+        assert misses == []
+
     def test_matches_materialized_oracle(self):
         config, weights = synth.gen_model(num_layers=3, hidden_dim=8, num_heads=2,
                                           ffn_dim=16, vocab_size=30,

@@ -13,7 +13,7 @@ from asc.errors import ValidationError
 from asc.model import ModelWeights, load_model, save_model
 from asc.planner import MODE_RANDOM, PrunePlan, plan_random
 from asc.surgery import apply_plan, compare_models
-from asc.tensor_ops import unit_rows
+from asc.tensor_ops import cosine_grams
 from conftest import make_model
 from oracles import final_hidden_state
 
@@ -131,15 +131,12 @@ def compare_per_sequence(config_a, weights_a, config_b, weights_b, dataset):
     """Reference report: one sequence at a time, summed in dataset order."""
     cos_sum, cos_min, diff_max = 0.0, np.inf, 0.0
     for seq in dataset.sequences:
-        out_a = final_hidden_state(config_a, weights_a, seq).astype(np.float64)
-        out_b = final_hidden_state(config_b, weights_b, seq).astype(np.float64)
-        unit_a = unit_rows(out_a)
-        cos = np.einsum("nd,nd->n", unit_a, unit_rows(out_b))
-        cos[unit_a.any(axis=1) & np.all(out_a == out_b, axis=1)] = 1.0
-        np.clip(cos, -1.0, 1.0, out=cos)
+        out_a = final_hidden_state(config_a, weights_a, seq)
+        out_b = final_hidden_state(config_b, weights_b, seq)
+        cos = cosine_grams((out_a, out_b))[:, 0, 1]
         cos_sum += cos.sum()
         cos_min = min(cos_min, cos.min())
-        diff_max = max(diff_max, np.abs(out_a - out_b).max())
+        diff_max = max(diff_max, np.abs(out_a.astype(np.float64) - out_b).max())
     return (float(cos_sum / dataset.total_tokens), float(cos_min), float(diff_max))
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asc.errors import ValidationError
-from asc.tensor_ops import EXP_FLOOR, GELU_COEF, gelu, layernorm, matmul, softmax_rows, unit_rows
+from asc.tensor_ops import (
+    EXP_FLOOR, GELU_COEF, cosine_grams, gelu, layernorm, matmul, softmax_rows,
+)
 from oracles import cosine, unclamped_softmax_rows
 
 # Max-shifted scores around `EXP_FLOOR`: just above it, at it, at ln(DBL_MIN)
@@ -237,34 +239,47 @@ class TestCosine:
         assert abs(cosine(scaled, v.astype(np.float64)) - cosine(u, v)) <= 1e-9
 
 
-class TestUnitRows:
-    def test_live_rows_have_unit_norm_and_dead_rows_are_zero(self):
-        x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0]], dtype=np.float32)
-        unit = unit_rows(x)
-        assert unit.dtype == np.float64 and unit.shape == x.shape
-        npt.assert_array_equal(unit[0], [0.6, 0.8])
-        npt.assert_array_equal(unit[1:], np.zeros((2, 2)))
+class TestCosineGrams:
+    def test_dead_rows_score_zero_against_everything(self):
+        # one row per state: two live rows, then a norm-1e-13 row and a zero row
+        rows = [[3.0, 4.0], [-1.0, 2.0], [1e-13, 0.0], [0.0, 0.0]]
+        grams = cosine_grams([np.array([row], dtype=np.float32) for row in rows])
+        assert grams.dtype == np.float64 and grams.shape == (1, 4, 4)
+        npt.assert_array_equal(grams[0, 2:], np.zeros((2, 4)))
+        npt.assert_array_equal(grams[0, :, 2:], np.zeros((4, 2)))
+        assert grams[0, 0, 0] == grams[0, 1, 1] == 1.0
+        assert grams[0, 0, 1] == 1.0 / math.sqrt(5.0)
 
-    def test_input_is_not_modified(self):
-        x = np.array([[2.0, 0.0], [0.0, 0.0]])
-        before = x.copy()
-        unit_rows(x)
-        npt.assert_array_equal(x, before)
-
-    def test_normalizes_the_last_axis_of_a_stack(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 4, 6)).astype(np.float32)
-        unit = unit_rows(x)
-        for k in range(3):
-            npt.assert_array_equal(unit[k], unit_rows(x[k]))
+    @given(st.integers(0, 10_000), st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_and_power_of_two_scales_score_exactly_one(self, seed, d):
+        """x.y / sqrt((x.x)(y.y)) needs no equality mask: rows with the same
+        bits, or one a power-of-two multiple of the other, read exactly +-1."""
+        x = np.random.default_rng(seed).standard_normal((5, d)).astype(np.float32)
+        grams = cosine_grams([x, x.copy(), x * np.float32(4.0), x * np.float32(0.5),
+                              x * np.float32(-2.0)])
+        npt.assert_array_equal(grams[:, :4, :4], np.ones((5, 4, 4)))
+        npt.assert_array_equal(grams[:, 4, :4], -np.ones((5, 4)))
+        npt.assert_array_equal(grams[:, 4, 4], np.ones(5))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_row_dots_agree_with_oracle_cosine(self, seed):
+    def test_bit_symmetric_and_agrees_with_oracle_cosine(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((5, 7)).astype(np.float32)
-        b = rng.standard_normal((5, 7)).astype(np.float32)
-        a[0] = 0.0
-        dots = np.einsum("nd,nd->n", unit_rows(a), unit_rows(b))
+        states = [rng.standard_normal((5, 7)).astype(np.float32) for _ in range(3)]
+        states[0][0] = 0.0
+        grams = cosine_grams(states)
+        npt.assert_array_equal(grams, grams.transpose(0, 2, 1))
         for n in range(5):
-            assert abs(dots[n] - cosine(a[n], b[n])) <= 1e-12
+            for i in range(3):
+                for j in range(3):
+                    assert abs(grams[n, i, j] - cosine(states[i][n], states[j][n])) <= 1e-12
+
+    def test_input_is_not_modified(self):
+        states = [np.array([[2.0, 0.0], [0.0, 0.0]], dtype=np.float32),
+                  np.array([[1.0, 1.0], [3.0, 0.0]], dtype=np.float32)]
+        before = [state.copy() for state in states]
+        cosine_grams(states)
+        for state, copy in zip(states, before):
+            npt.assert_array_equal(state, copy)
+
